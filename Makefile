@@ -8,7 +8,7 @@ FUZZTIME ?= 5s
 # Minimum acceptable total statement coverage, in percent.
 COVER_FLOOR ?= 75
 
-.PHONY: build test vet race race-repl chaos-smoke fuzz-smoke cover godoc-check links-check bench bench-diff bench-smoke ci demo cluster-demo profile
+.PHONY: build test vet race race-repl chaos-smoke fuzz-smoke cover godoc-check orphans-check links-check bench bench-diff bench-smoke ci demo cluster-demo profile
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,11 @@ cover:
 godoc-check:
 	sh scripts/check_godoc.sh
 
+# orphans-check fails when an internal package is imported by no package
+# other than itself and its own tests.
+orphans-check:
+	sh scripts/check_orphans.sh
+
 # links-check asserts every relative markdown link in the top-level docs
 # resolves.
 links-check:
@@ -78,30 +83,20 @@ links-check:
 # refreshes BENCH_5.json with the measured ns/op and allocs/op, then
 # the JSON-vs-binary ingest throughput comparison into BENCH_8.json
 # (docs/WIRE.md), then the batched fleet engine into BENCH_9.json
-# (docs/FLEET.md), then the exact-vs-sketch bins read sweep into
-# BENCH_10.json (docs/BINNING.md). See docs/PERFORMANCE.md for the
-# hot-path map behind these numbers.
+# (docs/FLEET.md). See docs/PERFORMANCE.md for the hot-path map behind
+# these numbers.
 bench:
 	sh scripts/bench_run.sh
 	sh scripts/bench_ingest.sh
 	sh scripts/bench_fleet.sh
-	sh scripts/bench_bins.sh
 
 # bench-diff re-measures and fails if any headline benchmark regressed
 # more than 10% against its committed baseline: ns/op vs BENCH_5.json,
-# fleet devices_steps_per_sec (lower = regression) vs BENCH_9.json,
-# bins read latency + sketch speedup vs BENCH_10.json. The bins sweep
-# gets a wider 30% tolerance: its exact-path rows are multi-second
-# single-shot scans whose min-of-few timing still jitters ~20% on a
-# loaded machine, while the regression it guards (sketch falling back
-# to O(corpus)) shows up as 100x, not 30%.
+# then fleet devices_steps_per_sec (lower = regression) vs BENCH_9.json.
 bench-diff:
 	sh scripts/bench_diff.sh
 	@tmp=$$(mktemp); BENCH_OUT=$$tmp sh scripts/bench_fleet.sh >/dev/null; \
 		sh scripts/bench_diff.sh BENCH_9.json $$tmp; rc=$$?; rm -f $$tmp; exit $$rc
-	@tmp=$$(mktemp); BENCH_OUT=$$tmp sh scripts/bench_bins.sh >/dev/null; \
-		BENCH_TOLERANCE_PCT=30 sh scripts/bench_diff.sh BENCH_10.json $$tmp; \
-		rc=$$?; rm -f $$tmp; exit $$rc
 
 # bench-smoke is the quick ci gate: a handful of iterations per headline
 # benchmark, enough to prove the hot paths still run (and that the
@@ -114,8 +109,8 @@ bench-smoke:
 
 # ci is the full gate: vet, tier-1 build+test, the race pass over the
 # whole tree, the chaos scenario matrix, the fuzz smoke, the bench
-# smoke, then the documentation checks.
-ci: vet build test race race-repl chaos-smoke fuzz-smoke bench-smoke godoc-check links-check
+# smoke, then the documentation and orphaned-package checks.
+ci: vet build test race race-repl chaos-smoke fuzz-smoke bench-smoke godoc-check orphans-check links-check
 
 # demo starts crowdd, fires a 200-device load at it, prints the bins and
 # shuts the server down.

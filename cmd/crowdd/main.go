@@ -1,8 +1,9 @@
 // Command crowdd serves the crowd-benchmarking backend of the paper's §VI
 // plan: the service behind the Play-Store app. It accepts ACCUBENCH
 // submissions over HTTP, estimates each upload's ambient from its cooldown
-// trace, applies the strict filters, and continuously re-bins each model's
-// accepted population in the background.
+// trace, applies the strict filters, and bins each model's accepted
+// population from a streaming sketch the store keeps current on every
+// commit (docs/BINNING.md).
 //
 //	crowdd -addr :8077
 //	crowdd -addr :8077 -shards 32 -workers 8 -queue 512 -accept-lo 18 -accept-hi 32
@@ -20,8 +21,8 @@
 // cluster (docs/CLUSTER.md): submissions are HLC-stamped, routed to
 // their model's shard primary, acknowledged only after a durable local
 // commit plus one replica acknowledgement, and kept converged by a
-// periodic anti-entropy digest exchange; -max-staleness bounds how old
-// a served bins entry may be.
+// periodic anti-entropy digest exchange. Every node folds its bins from
+// its own sketches at serve time, so replicas never serve stale bins.
 //
 // Endpoints: POST /v1/submissions, POST /v1/stream (binary streaming
 // batch ingest, docs/WIRE.md), GET /v1/bins, GET /v1/devices/{id},
@@ -81,9 +82,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(addr s
 		acceptLo      = fs.Float64("accept-lo", float64(policy.AcceptLo), "lowest accepted estimated ambient, °C")
 		acceptHi      = fs.Float64("accept-hi", float64(policy.AcceptHi), "highest accepted estimated ambient, °C")
 		idleBias      = fs.Float64("idle-bias", policy.IdleBias, "idle-floor correction subtracted from estimates, °C")
-		debounce      = fs.Duration("bin-debounce", 150*time.Millisecond, "binning loop quiet period (exact mode)")
 		maxK          = fs.Int("max-bins", 5, "largest bin count the clustering may discover")
-		binMode       = fs.String("bin-mode", server.BinModeExact, "bin serving path: exact (debounced full recompute) or sketch (streaming sketch fold, docs/BINNING.md)")
 		submitTimeout = fs.Duration("submit-timeout", 2*time.Second, "how long a saturated POST may block before 503")
 		maxBody       = fs.Int64("max-body", 1<<20, "largest accepted upload body, bytes")
 		dataDir       = fs.String("data-dir", "", "durable data directory (WAL + snapshots); empty runs in-memory")
@@ -96,13 +95,12 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(addr s
 
 		// Cluster mode (docs/CLUSTER.md): set -node-id and -peers to run
 		// this process as one member of a replicated, sharded cluster.
-		nodeID       = fs.String("node-id", "", "cluster node ID; empty runs standalone")
-		peers        = fs.String("peers", "", "comma-separated id=url peer list, e.g. n2=http://127.0.0.1:8078,n3=http://127.0.0.1:8079")
-		replicas     = fs.Int("replicas", 0, "replica-set size per model, primary included; 0 replicates everywhere")
-		maxStaleness = fs.Duration("max-staleness", 0, "bound on how old a served GET /v1/bins entry may be; 0 disables")
-		routeMode    = fs.String("route-mode", server.RouteProxy, "non-primary submission handling: proxy or redirect")
-		reconcile    = fs.Duration("reconcile-interval", time.Second, "anti-entropy digest-exchange cadence")
-		ackTimeout   = fs.Duration("ack-timeout", 3*time.Second, "how long a submission waits for one replica acknowledgement")
+		nodeID     = fs.String("node-id", "", "cluster node ID; empty runs standalone")
+		peers      = fs.String("peers", "", "comma-separated id=url peer list, e.g. n2=http://127.0.0.1:8078,n3=http://127.0.0.1:8079")
+		replicas   = fs.Int("replicas", 0, "replica-set size per model, primary included; 0 replicates everywhere")
+		routeMode  = fs.String("route-mode", server.RouteProxy, "non-primary submission handling: proxy or redirect")
+		reconcile  = fs.Duration("reconcile-interval", time.Second, "anti-entropy digest-exchange cadence")
+		ackTimeout = fs.Duration("ack-timeout", 3*time.Second, "how long a submission waits for one replica acknowledgement")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -123,8 +121,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(addr s
 		QueueDepth:    *queue,
 		Policy:        policy,
 		MaxK:          *maxK,
-		BinMode:       *binMode,
-		BinDebounce:   *debounce,
 		SubmitTimeout: *submitTimeout,
 		MaxBodyBytes:  *maxBody,
 		DataDir:       *dataDir,
@@ -155,7 +151,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(addr s
 			RouteMode:         *routeMode,
 			AckTimeout:        *ackTimeout,
 			ReconcileInterval: *reconcile,
-			MaxStaleness:      *maxStaleness,
 		}
 	} else if *peers != "" {
 		return fmt.Errorf("-peers needs -node-id")
@@ -198,11 +193,11 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(addr s
 		go debugSrv.Serve(dln)
 		fmt.Fprintf(stdout, "crowdd: pprof on http://%s/debug/pprof\n", dln.Addr())
 	}
-	fmt.Fprintf(stdout, "crowdd: listening on %s (%d shards, %d workers/stage, queue %d, window [%v, %v], %s bins)\n",
-		ln.Addr(), *shards, *workers, *queue, policy.AcceptLo, policy.AcceptHi, *binMode)
+	fmt.Fprintf(stdout, "crowdd: listening on %s (%d shards, %d workers/stage, queue %d, window [%v, %v])\n",
+		ln.Addr(), *shards, *workers, *queue, policy.AcceptLo, policy.AcceptHi)
 	if scfg.Cluster != nil {
-		fmt.Fprintf(stdout, "crowdd: cluster node %s with %d peers (%s routing, reconcile every %v, bins staleness bound %v)\n",
-			scfg.Cluster.NodeID, len(scfg.Cluster.Peers), scfg.Cluster.RouteMode, *reconcile, *maxStaleness)
+		fmt.Fprintf(stdout, "crowdd: cluster node %s with %d peers (%s routing, reconcile every %v)\n",
+			scfg.Cluster.NodeID, len(scfg.Cluster.Peers), scfg.Cluster.RouteMode, *reconcile)
 	}
 	if ready != nil {
 		ready(ln.Addr().String())

@@ -27,7 +27,7 @@ func startDaemon(t *testing.T, extraArgs ...string) (base string, out *lockedBuf
 	out = &lockedBuffer{}
 	addrc := make(chan string, 1)
 	errc := make(chan error, 1)
-	args := append([]string{"-addr", "127.0.0.1:0", "-bin-debounce", "1ms"}, extraArgs...)
+	args := append([]string{"-addr", "127.0.0.1:0"}, extraArgs...)
 	go func() { errc <- run(ctx, args, out, func(addr string) { addrc <- addr }) }()
 	select {
 	case addr := <-addrc:
@@ -190,6 +190,10 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	wantStored := accepted + 1 // rejected device is stored with its verdict
+	// The pipeline is asynchronous and a malformed upload may still be in
+	// the decoder when the last record is stored: wait for both counters
+	// before checking the conservation laws.
+	waitForCounter(t, base, "crowdd_decode_errors_total", uint64(len(testkit.MalformedPayloads())))
 	m := waitForCounter(t, base, "crowdd_stored_total", wantStored)
 	testkit.CheckMetricsFlow(t, m)
 	if got := m["crowdd_decode_errors_total"]; got != uint64(len(testkit.MalformedPayloads())) {
@@ -221,7 +225,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Errorf("GET unknown device = %d, want 404", code)
 	}
 
-	// Bins settle after the debounced recompute covers the population.
+	// Bins cover the population once every upload is stored.
 	deadline := time.Now().Add(10 * time.Second)
 	var mb struct {
 		Models []struct {
@@ -357,6 +361,7 @@ func TestDaemonFlagErrors(t *testing.T) {
 		args []string
 	}{
 		{"unknown flag", []string{"-no-such-flag"}},
+		{"removed bin mode flag", []string{"-bin-mode", "exact"}},
 		{"stray args", []string{"stray"}},
 		{"inverted window", []string{"-accept-lo", "30", "-accept-hi", "20"}},
 		{"bad addr", []string{"-addr", "256.256.256.256:99999"}},

@@ -771,8 +771,11 @@ func fetchMetrics(client *http.Client, addr string) (map[string]uint64, error) {
 	return out, nil
 }
 
-// printBins waits for the debounced binning loop to settle over the full
-// accepted population, then prints the cached bins for the model.
+// printBins waits until the node's bins cover the full accepted
+// population — uploads may still be in the ingest pipeline or in flight
+// to a replica — then prints the model's bins. Bins are folded from the
+// node's sketches at serve time, so once a record is stored the next
+// read includes it.
 func printBins(client *http.Client, stdout io.Writer, addr, model string, wantAccepted int) error {
 	type modelBins struct {
 		Model     string    `json:"model"`
@@ -812,7 +815,7 @@ func printBins(client *http.Client, stdout io.Writer, addr, model string, wantAc
 			break
 		}
 		if time.Now().After(deadline) {
-			fmt.Fprintln(stdout, "bins not settled yet (server still debouncing)")
+			fmt.Fprintln(stdout, "bins not settled yet (uploads still in flight)")
 			return nil
 		}
 		time.Sleep(100 * time.Millisecond)

@@ -7,7 +7,7 @@ import (
 )
 
 // WeightedPoint is one clustering input carrying multiplicity: Weight
-// devices share the value. The sketch-mode binner clusters sketch cells
+// devices share the value. The server's binner clusters sketch cells
 // — a few hundred weighted points — instead of the full corpus, with
 // semantics identical to expanding each point Weight times.
 type WeightedPoint struct {

@@ -145,21 +145,14 @@ func (p *Pipeline) SubmitBatch(ctx context.Context, subs []Submission) (BatchRes
 	}
 
 	t0 = time.Now()
-	models := make(map[string]struct{}, 1)
 	for i := range res.Records {
 		if res.Records[i].Accepted {
 			p.ctr.accepted.Inc()
 		} else {
 			p.ctr.rejected.Inc()
 		}
-		models[res.Records[i].Model] = struct{}{}
 	}
 	p.ctr.stored.Add(uint64(len(res.Records)))
-	if p.cfg.OnStored != nil {
-		for model := range models {
-			p.cfg.OnStored(model)
-		}
-	}
 	p.storeDur.Observe(time.Since(t0).Seconds())
 	return res, nil
 }

@@ -68,19 +68,11 @@ func (c *recordingBatchCommitter) CommitBatch(recs []*store.Record) error {
 
 // TestSubmitBatchEndToEnd drives a mixed batch — accepts, a reject, an
 // invalid entry — through the inline batch path and asserts the result
-// accounting, the store contents, the OnStored notification, and the
-// counter conservation laws shared with the staged pipeline.
+// accounting, the store contents, and the counter conservation laws
+// shared with the staged pipeline.
 func TestSubmitBatchEndToEnd(t *testing.T) {
 	st := store.New(4)
-	var mu sync.Mutex
-	notified := map[string]int{}
-	p := newPipeline(t, st, func(c *Config) {
-		c.OnStored = func(model string) {
-			mu.Lock()
-			notified[model]++
-			mu.Unlock()
-		}
-	})
+	p := newPipeline(t, st)
 	p.Start(context.Background())
 
 	subs := []Submission{
@@ -119,11 +111,6 @@ func TestSubmitBatchEndToEnd(t *testing.T) {
 	if st.Len() != 3 || st.AcceptedLen() != 2 {
 		t.Errorf("store has %d/%d records, want 3/2", st.Len(), st.AcceptedLen())
 	}
-	mu.Lock()
-	if notified["Nexus 5"] != 1 {
-		t.Errorf("OnStored fired %d times for the batch, want 1 per distinct model", notified["Nexus 5"])
-	}
-	mu.Unlock()
 }
 
 // TestSubmitBatchGroupCommit asserts the batch path prefers the

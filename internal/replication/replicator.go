@@ -85,9 +85,6 @@ type Config struct {
 	// Apply durably commits one remote record locally — the node's
 	// WAL-backed commit path. It must assign the local sequence number.
 	Apply func(*store.Record) error
-	// OnApplied is called once per model after remote records land, so
-	// the server can mark bins dirty. May be nil.
-	OnApplied func(model string)
 	// AckTimeout, ShipInterval, ReconcileInterval, SnapshotGap override
 	// the defaults when positive.
 	AckTimeout        time.Duration
@@ -311,7 +308,6 @@ func (r *Replicator) ApplyRemote(recs []store.Record) (ApplyResult, error) {
 	r.applyGate.Lock()
 	defer r.applyGate.Unlock()
 	var res ApplyResult
-	dirty := make(map[string]struct{})
 	for _, rec := range recs {
 		key, ok := rec.Key()
 		if !ok {
@@ -332,12 +328,6 @@ func (r *Replicator) ApplyRemote(recs []store.Record) (ApplyResult, error) {
 		}
 		res.Applied++
 		r.met.Applied.Inc()
-		dirty[rec.Model] = struct{}{}
-	}
-	if r.cfg.OnApplied != nil {
-		for model := range dirty {
-			r.cfg.OnApplied(model)
-		}
 	}
 	return res, nil
 }

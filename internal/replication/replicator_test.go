@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -163,23 +162,6 @@ func TestApplyRemoteIsIdempotent(t *testing.T) {
 	}
 	if _, err := r.ApplyRemote([]store.Record{{Device: "x", Model: "m"}}); err == nil {
 		t.Fatal("ApplyRemote accepted an unstamped record")
-	}
-}
-
-func TestApplyRemoteNotifiesPerModel(t *testing.T) {
-	var dirty atomic.Int32
-	r, _ := newNode(t, "n1", nil, func(c *Config) {
-		c.OnApplied = func(model string) { dirty.Add(1) }
-	})
-	batch := []store.Record{
-		stampedRec("n2", 100, 0, "da"),
-		stampedRec("n2", 100, 1, "db"), // same model: one notification
-	}
-	if _, err := r.ApplyRemote(batch); err != nil {
-		t.Fatal(err)
-	}
-	if dirty.Load() != 1 {
-		t.Fatalf("OnApplied fired %d times for one model, want 1", dirty.Load())
 	}
 }
 

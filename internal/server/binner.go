@@ -1,10 +1,8 @@
 package server
 
 import (
-	"sort"
+	"math"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"accubench/internal/cluster"
 	"accubench/internal/obs"
@@ -12,8 +10,8 @@ import (
 	"accubench/internal/store"
 )
 
-// ModelBins is the cached binning of one model's accepted population — the
-// §VI endgame: normalized-score clusters standing in for the vendor's
+// ModelBins is the binning of one model's accepted population — the §VI
+// endgame: normalized-score clusters standing in for the vendor's
 // undisclosed speed bins.
 type ModelBins struct {
 	// Model is the handset model.
@@ -35,82 +33,48 @@ type ModelBins struct {
 	Centroids []float64 `json:"centroids,omitempty"`
 	// Sizes are the per-bin device counts, aligned with Centroids.
 	Sizes []int `json:"sizes,omitempty"`
-	// Revision increments every recompute of this model.
+	// Revision is the store's sketch revision the bins were folded at.
 	Revision uint64 `json:"revision"`
-	// AgeMS is how old this binning is at serve time — milliseconds since
-	// the recompute that produced it. Set by the HTTP layer; also exposed
-	// as the X-Bins-Staleness-Ms response header.
-	AgeMS int64 `json:"age_ms"`
-
-	// refreshedAt is when the recompute ran; AgeMS is derived from it at
-	// serve time.
-	refreshedAt time.Time
 }
 
 // minClusterPop is the smallest accepted population worth clustering,
 // matching the batch study in internal/crowd.
 const minClusterPop = 4
 
-// Bin-serving modes (Config.BinMode / crowdd -bin-mode).
-const (
-	// BinModeExact is the classic path: a debounced background loop
-	// rescans the store and re-clusters the full population — O(corpus)
-	// per refresh, bit-exact, the reference the goldens compare against.
-	BinModeExact = "exact"
-	// BinModeSketch serves bins from the store's streaming population
-	// sketches: reads fold O(cells) per model with no debounce loop and
-	// no corpus scan, within the tolerance contract of docs/BINNING.md.
-	BinModeSketch = "sketch"
-)
+// BinModeSketch names the only bin-serving path: bins folded from the
+// store's streaming population sketches.
+//
+// Deprecated: bins are always served from the sketches. The constant
+// remains because existing configurations still set Config.BinMode and
+// BinnerConfig.Mode to it; it will be removed with those fields.
+const BinModeSketch = "sketch"
 
-// Binner serves per-model bins in one of two modes. In exact mode it is
-// a background loop: ingest marks models dirty, the loop debounces the
-// marks and recomputes bins off the request path, and GET /v1/bins
-// serves the cached result without ever touching the clustering code.
-// In sketch mode there is no loop at all: reads cluster the store's
-// always-current population sketches on demand, caching per model until
-// the sketch revision moves.
+// Binner serves per-model bins from the store's population sketches,
+// which the store keeps current on every commit. There is no background
+// loop: a read folds the model's sketch on demand — O(cells), never
+// O(corpus) — and caches the result until the store's sketch revision
+// for that model moves, so served bins are always current.
 type Binner struct {
 	store *store.Store
 	// maxK bounds the discovered bin count.
 	maxK int
-	// mode is BinModeExact or BinModeSketch.
-	mode string
-	// debounce is how long a model must stay quiet after a mark before its
-	// bins recompute; maxWait bounds staleness under continuous load.
-	debounce, maxWait time.Duration
 
-	dirty chan string
+	// mu guards cache: per model, the bins folded at .Revision, served
+	// until the store's sketch revision moves past it.
+	mu    sync.Mutex
+	cache map[string]ModelBins
 
-	mu   sync.RWMutex
-	bins map[string]ModelBins
-	// sorted caches the Bins() ordering so serving GET /v1/bins does not
-	// re-sort the model list on every read; recompute invalidates it.
-	sorted []ModelBins
+	// folds counts fresh sketch folds; it backs both bin_recomputes_total
+	// and bins_sketch_recomputes_total.
+	folds       *obs.Counter
+	cachedReads *obs.Counter
 
-	// sketchMu guards the sketch-mode read cache: per model, the bins
-	// derived from the store sketch at .Revision — served until the
-	// store's sketch revision moves past it.
-	sketchMu    sync.Mutex
-	sketchCache map[string]ModelBins
-
-	recomputes atomic.Uint64
-	revision   atomic.Uint64
-
-	// Drift instrumentation, nil without BinnerConfig.Obs: the
-	// silicon-lottery story as monitoring — how far each model's bin
-	// centroids moved on the latest recompute, and whether the bin count
-	// itself changed.
+	// Drift instrumentation: the silicon-lottery story as monitoring —
+	// how far each model's bin centroids moved on the latest fold, and
+	// whether the bin count itself changed.
 	driftShift   *obs.GaugeVec
 	driftBins    *obs.GaugeVec
 	driftChanges *obs.Counter
-	sketchFolds  *obs.Counter
-	sketchHits   *obs.Counter
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stopped   chan struct{}
-	done      chan struct{}
 }
 
 // BinnerConfig parameterizes a Binner.
@@ -120,307 +84,164 @@ type BinnerConfig struct {
 	// MaxK bounds the discovered bin count (default 5 — the paper's
 	// Nexus 5 study saw bins 0–4).
 	MaxK int
-	// Mode selects the serving path: BinModeExact (default) or
-	// BinModeSketch.
+	// Mode is ignored: bins are always folded from the store sketches.
+	//
+	// Deprecated: kept only so existing configurations that set it to
+	// BinModeSketch still compile; it will be removed.
 	Mode string
-	// Debounce is the quiet period before a recompute (default 150 ms).
-	// Exact mode only.
-	Debounce time.Duration
-	// MaxWait bounds staleness under continuous submission load
-	// (default 10 × Debounce). Exact mode only.
-	MaxWait time.Duration
-	// Obs, when non-nil, registers the drift gauges and sketch-path
-	// counters (docs/METRICS.md, "Binning & drift").
+	// Obs, when non-nil, registers the drift gauges and fold counters
+	// (docs/METRICS.md, "Binning & drift"). Nil keeps them private.
 	Obs *obs.Registry
 }
 
-// NewBinner creates a binner; Start launches its loop (exact mode).
+// NewBinner creates a binner over the store's sketches.
 func NewBinner(cfg BinnerConfig) *Binner {
 	if cfg.MaxK <= 0 {
 		cfg.MaxK = 5
 	}
-	if cfg.Mode == "" {
-		cfg.Mode = BinModeExact
-	}
-	if cfg.Debounce <= 0 {
-		cfg.Debounce = 150 * time.Millisecond
-	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = 10 * cfg.Debounce
-	}
-	b := &Binner{
-		store:    cfg.Store,
-		maxK:     cfg.MaxK,
-		mode:     cfg.Mode,
-		debounce: cfg.Debounce,
-		maxWait:  cfg.MaxWait,
-		// Buffered so ingest's store workers never block on a busy loop;
-		// marks are coalesced anyway.
-		dirty:       make(chan string, 1024),
-		bins:        make(map[string]ModelBins),
-		sketchCache: make(map[string]ModelBins),
-		stopped:     make(chan struct{}),
-		done:        make(chan struct{}),
-	}
-	if cfg.Obs != nil {
-		b.driftShift = cfg.Obs.GaugeVec("drift_centroid_shift_ppm",
-			"mean relative centroid shift vs the previous revision, parts per million", "model")
-		b.driftBins = cfg.Obs.GaugeVec("drift_bin_count",
-			"discovered bin count per model", "model")
-		b.driftChanges = cfg.Obs.Counter("drift_bin_count_changes_total",
-			"recomputes that changed a model's bin count")
-		b.sketchFolds = cfg.Obs.Counter("bins_sketch_recomputes_total",
-			"sketch-mode bins computed from a fresh sketch fold")
-		b.sketchHits = cfg.Obs.Counter("bins_sketch_cached_reads_total",
-			"sketch-mode bins served from the revision-matched cache")
-	}
-	return b
-}
-
-// Mode reports the serving mode.
-func (b *Binner) Mode() string { return b.mode }
-
-// Start launches the binning loop. In sketch mode there is no loop —
-// reads are always fresh — so Start only arms Stop's bookkeeping.
-func (b *Binner) Start() {
-	if b.mode == BinModeSketch {
-		b.startOnce.Do(func() { close(b.done) })
-		return
-	}
-	b.startOnce.Do(func() { go b.loop() })
-}
-
-// Stop terminates the loop after one final recompute of anything pending.
-// Safe on a binner that was never started (a server built but not Started
-// — e.g. boot-recovery inspection): the loop is kept from ever launching
-// instead of being waited for.
-func (b *Binner) Stop() {
-	b.startOnce.Do(func() { close(b.done) })
-	b.stopOnce.Do(func() { close(b.stopped) })
-	<-b.done
-}
-
-// MarkDirty notes that a model received a submission. Never blocks: under
-// a full queue the mark is dropped, which is safe — a later mark or the
-// maxWait sweep still triggers the recompute for marks already queued, and
-// a full queue means the loop is about to run anyway. Sketch mode has no
-// loop to wake: the store's sketches are already current.
-func (b *Binner) MarkDirty(model string) {
-	if b.mode == BinModeSketch {
-		return
-	}
-	select {
-	case b.dirty <- model:
-	default:
+	// A nil registry hands out private metrics, so the binner is always
+	// instrumented.
+	reg := cfg.Obs
+	return &Binner{
+		store: cfg.Store,
+		maxK:  cfg.MaxK,
+		cache: make(map[string]ModelBins),
+		folds: reg.Counter("bins_sketch_recomputes_total",
+			"bins computed from a fresh sketch fold"),
+		cachedReads: reg.Counter("bins_sketch_cached_reads_total",
+			"bins served from the revision-matched cache"),
+		driftShift: reg.GaugeVec("drift_centroid_shift_ppm",
+			"mean relative centroid shift vs the previous revision, parts per million", "model"),
+		driftBins: reg.GaugeVec("drift_bin_count",
+			"discovered bin count per model", "model"),
+		driftChanges: reg.Counter("drift_bin_count_changes_total",
+			"folds that changed a model's bin count"),
 	}
 }
 
-// Bins returns the bins for every model, sorted by model name. Exact
-// mode serves a cached sorted snapshot (rebuilt only after a recompute
-// invalidated it — no per-GET sort); sketch mode folds each model's
-// sketch, which is itself cached per sketch revision.
+// Bins returns the bins for every model, sorted by model name.
 func (b *Binner) Bins() []ModelBins {
-	if b.mode == BinModeSketch {
-		models := b.store.Models()
-		out := make([]ModelBins, 0, len(models))
-		for _, m := range models {
-			if mb, ok := b.sketchBins(m); ok {
-				out = append(out, mb)
-			}
+	models := b.store.Models()
+	out := make([]ModelBins, 0, len(models))
+	for _, m := range models {
+		if mb, ok := b.ModelBins(m); ok {
+			out = append(out, mb)
 		}
-		return out
 	}
-	b.mu.RLock()
-	cached := b.sorted
-	b.mu.RUnlock()
-	if cached == nil {
-		b.mu.Lock()
-		if b.sorted == nil {
-			sc := make([]ModelBins, 0, len(b.bins))
-			for _, mb := range b.bins {
-				sc = append(sc, mb)
-			}
-			sort.Slice(sc, func(i, j int) bool { return sc[i].Model < sc[j].Model })
-			b.sorted = sc
-		}
-		cached = b.sorted
-		b.mu.Unlock()
-	}
-	// Callers stamp AgeMS into the returned entries; hand out a copy so
-	// the cache itself stays immutable.
-	out := make([]ModelBins, len(cached))
-	copy(out, cached)
 	return out
 }
 
-// ModelBins returns the bins for one model — the cached recompute in
-// exact mode, a revision-fresh sketch fold in sketch mode.
+// ModelBins returns one model's bins. A read whose sketch revision still
+// matches the cached fold is a pure cache hit; the first read after any
+// commit for the model re-folds O(cells).
 func (b *Binner) ModelBins(model string) (ModelBins, bool) {
-	if b.mode == BinModeSketch {
-		return b.sketchBins(model)
+	rev, ok := b.store.SketchRevision(model)
+	if !ok {
+		return ModelBins{}, false
 	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	mb, ok := b.bins[model]
-	return mb, ok
+	b.mu.Lock()
+	cached, hit := b.cache[model]
+	b.mu.Unlock()
+	if hit && cached.Revision == rev {
+		b.cachedReads.Inc()
+		return cached, true
+	}
+
+	sk, rev, ok := b.store.SketchSnapshot(model)
+	if !ok {
+		return ModelBins{}, false
+	}
+	mb := binsFromSketch(model, sk, b.maxK)
+	mb.Revision = rev
+	b.folds.Inc()
+
+	b.mu.Lock()
+	old, hadOld := b.cache[model]
+	// Concurrent reads race to fill the cache; the highest revision wins
+	// so a slow fold never clobbers a fresher one.
+	published := !hadOld || old.Revision <= mb.Revision
+	if published {
+		b.cache[model] = mb
+	} else {
+		mb = old
+	}
+	b.mu.Unlock()
+	if published {
+		b.noteDrift(old, hadOld, mb)
+	}
+	return mb, true
 }
 
-// Recomputes returns how many per-model recomputes have run — the proof
-// that serving GET /v1/bins does not trigger clustering.
-func (b *Binner) Recomputes() uint64 { return b.recomputes.Load() }
+// Recomputes returns how many sketch folds have run — the proof that
+// repeated GET /v1/bins reads between commits do not re-cluster.
+func (b *Binner) Recomputes() uint64 { return b.folds.Value() }
 
-// RefreshedAt returns when a model's cached bins were last recomputed.
-func (b *Binner) RefreshedAt(model string) (time.Time, bool) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	mb, ok := b.bins[model]
-	return mb.refreshedAt, ok
-}
-
-// Refresh recomputes one model's bins synchronously — the staleness
-// escape hatch: a replica serving bins under a max-staleness bound calls
-// this when the cache has aged past the bound, instead of waiting for
-// the debounced loop. Safe concurrently with the loop; the two
-// recomputes just race benignly to publish equivalent results. In
-// sketch mode reads are fresh by construction, so Refresh is just a
-// read.
-func (b *Binner) Refresh(model string) ModelBins {
-	if b.mode == BinModeSketch {
-		mb, _ := b.sketchBins(model)
+// binsFromSketch clusters a population sketch into ModelBins, operating
+// on weighted cell representatives instead of raw records: fit the
+// ambient slope (AmbientFit applies the identifiability gate), normalize
+// every cell's score to the 26 °C reference, then cluster with the
+// weighted exact k-means. Agreement with an exact per-record binning is
+// bounded by the sketch's cell resolution; docs/BINNING.md states the
+// tolerance contract the goldens enforce.
+func binsFromSketch(model string, sk *stats.BinSketch, maxK int) ModelBins {
+	mb := ModelBins{
+		Model:       model,
+		Submissions: int(sk.Records()),
+		Accepted:    int(sk.Accepted()),
+	}
+	slope, fitted := sk.AmbientFit()
+	if fitted {
+		mb.AmbientSlope = slope
+	}
+	pts := sk.Points()
+	if mb.Accepted < minClusterPop || len(pts) == 0 {
 		return mb
 	}
-	b.recompute(model)
-	mb, _ := b.ModelBins(model)
+	wpts := make([]cluster.WeightedPoint, len(pts))
+	for i, p := range pts {
+		wpts[i] = cluster.WeightedPoint{
+			Value:  p.Score - slope*(p.Ambient-26),
+			Weight: p.Weight,
+		}
+	}
+	k, err := cluster.ChooseKWeighted(wpts, maxK)
+	if err != nil {
+		return mb
+	}
+	asg, err := cluster.KMeans1DWeighted(wpts, k)
+	if err != nil {
+		return mb
+	}
+	mb.BinCount = k
+	mb.Centroids = asg.Centroids
+	mb.Sizes = make([]int, k)
+	for c, w := range asg.Sizes {
+		mb.Sizes[c] = int(w)
+	}
 	return mb
 }
 
-// loop debounces dirty marks and recomputes bins for quiet models.
-func (b *Binner) loop() {
-	defer close(b.done)
-	pending := make(map[string]bool)
-	var quiet *time.Timer
-	var quietC <-chan time.Time
-	var deadlineC <-chan time.Time
-
-	flush := func() {
-		for model := range pending {
-			delete(pending, model)
-			b.recompute(model)
-		}
-		if quiet != nil {
-			quiet.Stop()
-		}
-		quietC, deadlineC = nil, nil
+// noteDrift publishes the drift gauges for a freshly folded binning: the
+// current bin count, whether it changed, and the mean relative centroid
+// shift vs the previous revision in parts per million — the
+// silicon-lottery population moving, told as monitoring.
+func (b *Binner) noteDrift(old ModelBins, hadOld bool, mb ModelBins) {
+	b.driftBins.With(mb.Model).Set(int64(mb.BinCount))
+	if !hadOld {
+		return
 	}
-
-	for {
-		select {
-		case model := <-b.dirty:
-			pending[model] = true
-			// Restart the quiet timer; arm the staleness deadline only
-			// once per burst.
-			if quiet == nil {
-				quiet = time.NewTimer(b.debounce)
-			} else {
-				if !quiet.Stop() {
-					select {
-					case <-quiet.C:
-					default:
-					}
-				}
-				quiet.Reset(b.debounce)
-			}
-			quietC = quiet.C
-			if deadlineC == nil {
-				deadlineC = time.After(b.maxWait)
-			}
-		case <-quietC:
-			flush()
-		case <-deadlineC:
-			flush()
-		case <-b.stopped:
-			// Drain any queued marks, recompute once, exit.
-			for {
-				select {
-				case model := <-b.dirty:
-					pending[model] = true
-					continue
-				default:
-				}
-				break
-			}
-			flush()
-			return
+	if old.BinCount != mb.BinCount {
+		b.driftChanges.Inc()
+	}
+	n := min(len(old.Centroids), len(mb.Centroids))
+	if n == 0 {
+		return
+	}
+	var rel float64
+	for i := 0; i < n; i++ {
+		if old.Centroids[i] != 0 {
+			rel += math.Abs(mb.Centroids[i]-old.Centroids[i]) / math.Abs(old.Centroids[i])
 		}
 	}
-}
-
-// recompute rebuilds one model's bins from the store: normalize the
-// accepted population's scores to the 26 °C reference ambient, then
-// cluster them (exact 1-D k-means, silhouette-selected k).
-func (b *Binner) recompute(model string) {
-	all := b.store.Model(model)
-	latest := b.store.Latest(model)
-	mb := ModelBins{Model: model, Submissions: len(all)}
-
-	var scores, ambs []float64
-	for _, r := range latest {
-		if !r.Accepted {
-			continue
-		}
-		scores = append(scores, r.Score)
-		ambs = append(ambs, float64(r.EstimatedAmbient))
-	}
-	mb.Accepted = len(scores)
-
-	normalized := append([]float64(nil), scores...)
-	if len(scores) >= 3 && spread(ambs) > 0.5 {
-		// The slope fit needs ambient variation to be identifiable; an
-		// ambient-uniform population needs no normalization anyway.
-		_, slope := stats.LinearFit(ambs, scores)
-		mb.AmbientSlope = slope
-		for i := range normalized {
-			normalized[i] = scores[i] - slope*(ambs[i]-26)
-		}
-	}
-
-	if len(normalized) >= minClusterPop {
-		if k, err := cluster.ChooseK(normalized, b.maxK); err == nil {
-			if asg, err := cluster.KMeans1D(normalized, k); err == nil {
-				mb.BinCount = k
-				mb.Centroids = asg.Centroids
-				mb.Sizes = make([]int, k)
-				for _, lbl := range asg.Labels {
-					mb.Sizes[lbl]++
-				}
-			}
-		}
-	}
-
-	mb.Revision = b.revision.Add(1)
-	mb.refreshedAt = time.Now()
-	b.recomputes.Add(1)
-	b.mu.Lock()
-	old, hadOld := b.bins[model]
-	b.bins[model] = mb
-	b.sorted = nil
-	b.mu.Unlock()
-	b.noteDrift(old, hadOld, mb)
-}
-
-// spread returns max-min of xs.
-func spread(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return hi - lo
+	b.driftShift.With(mb.Model).Set(int64(rel / float64(n) * 1e6))
 }

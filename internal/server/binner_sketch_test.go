@@ -7,8 +7,8 @@ import (
 	"math/rand"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"accubench/internal/crowd"
 	"accubench/internal/obs"
@@ -62,12 +62,12 @@ func seedPopulation(t *testing.T, st *store.Store, models []string, bins [][]flo
 	return accepted
 }
 
-// TestSketchBinsMatchExactGolden is the tentpole's tolerance golden:
-// over seed-style populations, the sketch path must agree with the
-// exact batch binner on the population tallies, the discovered bin
-// count, the per-bin device counts, and — within the sketch's cell
-// resolution — the centroids and the ambient slope (tolerance contract
-// in docs/BINNING.md).
+// TestSketchBinsMatchExactGolden is the sketch path's tolerance golden:
+// over seed-style populations, the served bins must agree with the
+// exact per-record oracle (exactBins) on the population tallies, the
+// discovered bin count, the per-bin device counts, and — within the
+// sketch's cell resolution — the centroids and the ambient slope
+// (tolerance contract in docs/BINNING.md).
 func TestSketchBinsMatchExactGolden(t *testing.T) {
 	models := []string{"Nexus 5", "Pixel 2", "Galaxy S7"}
 	bins := [][]float64{
@@ -79,13 +79,10 @@ func TestSketchBinsMatchExactGolden(t *testing.T) {
 	st := store.New(8)
 	accepted := seedPopulation(t, st, models, bins, slope, 40, 41)
 
-	exact := server.NewBinner(server.BinnerConfig{Store: st})
-	defer exact.Stop()
-	sketch := server.NewBinner(server.BinnerConfig{Store: st, Mode: server.BinModeSketch})
-	defer sketch.Stop()
+	sketch := server.NewBinner(server.BinnerConfig{Store: st})
 
 	for mi, model := range models {
-		em := exact.Refresh(model)
+		em := exactBins(st, model, 5)
 		sm, ok := sketch.ModelBins(model)
 		if !ok {
 			t.Fatalf("%s: no sketch bins", model)
@@ -114,15 +111,11 @@ func TestSketchBinsMatchExactGolden(t *testing.T) {
 	}
 }
 
-// TestSketchBinsFreshWithoutDebounce pins sketch mode's headline
-// behavior end-to-end: with the exact loop's debounce cranked to an
-// hour, a sketch-mode server still serves every committed submission on
+// TestSketchBinsFreshWithoutDebounce pins the serving path's headline
+// behavior end-to-end: a server serves every committed submission on
 // the very next bins read — no background loop in the path.
 func TestSketchBinsFreshWithoutDebounce(t *testing.T) {
-	srv, base := startStandalone(t, func(c *server.Config) {
-		c.BinMode = server.BinModeSketch
-		c.BinDebounce = time.Hour
-	})
+	srv, base := startStandalone(t)
 	client := &http.Client{}
 	policy := crowd.DefaultPolicy()
 
@@ -141,10 +134,7 @@ func TestSketchBinsFreshWithoutDebounce(t *testing.T) {
 		t.Fatal("no bins immediately after commit")
 	}
 	if mb.Accepted != n {
-		t.Fatalf("Accepted = %d immediately after commit, want %d (sketch mode must not wait for a debounce)", mb.Accepted, n)
-	}
-	if srv.Binner().Mode() != server.BinModeSketch {
-		t.Fatalf("Mode = %q, want sketch", srv.Binner().Mode())
+		t.Fatalf("Accepted = %d immediately after commit, want %d (bins must not wait for a debounce)", mb.Accepted, n)
 	}
 
 	// One more submission must be visible on the next read too.
@@ -215,13 +205,12 @@ func TestSketchEndpoint(t *testing.T) {
 	}
 }
 
-// TestDriftGaugesExposed drives two recomputes with a shifted population
-// and asserts the drift series appear in the Prometheus exposition.
+// TestDriftGaugesExposed drives two folds with a shifted population and
+// asserts the drift series appear in the Prometheus exposition.
 func TestDriftGaugesExposed(t *testing.T) {
 	st := store.New(4)
 	reg := obs.NewRegistry("crowdd_")
 	b := server.NewBinner(server.BinnerConfig{Store: st, Obs: reg})
-	defer b.Stop()
 
 	put := func(dev string, score float64) {
 		t.Helper()
@@ -236,13 +225,13 @@ func TestDriftGaugesExposed(t *testing.T) {
 		put(fmt.Sprintf("lo-%d", i), 900+float64(i))
 		put(fmt.Sprintf("hi-%d", i), 1100+float64(i))
 	}
-	b.Refresh("m")
+	b.ModelBins("m")
 	// Shift the population: every device resubmits ~1% higher.
 	for i := 0; i < 10; i++ {
 		put(fmt.Sprintf("lo-%d", i), 910+float64(i))
 		put(fmt.Sprintf("hi-%d", i), 1111+float64(i))
 	}
-	b.Refresh("m")
+	b.ModelBins("m")
 
 	var sb strings.Builder
 	reg.WritePrometheus(&sb)
@@ -269,44 +258,117 @@ func TestDriftGaugesExposed(t *testing.T) {
 	}
 }
 
-// TestBinsSortedCacheReused pins the Bins() satellite: repeated reads
-// between recomputes reuse one sorted snapshot (same backing identity
-// is not observable, so assert behavior: order correct, mutation of the
-// returned slice does not leak into later reads).
-func TestBinsSortedCacheReused(t *testing.T) {
-	st := store.New(4)
-	b := server.NewBinner(server.BinnerConfig{Store: st})
-	defer b.Stop()
-	for _, model := range []string{"zeta", "alpha", "mid"} {
-		for i := 0; i < 4; i++ {
-			if _, err := st.Put(store.Record{
+// TestModelBinsQueryFoldsOnlyThatModel pins GET /v1/bins?model=M: after
+// commits to two models, reading one model folds that model's sketch
+// alone, and the other model's fold waits for a read that covers it.
+func TestModelBinsQueryFoldsOnlyThatModel(t *testing.T) {
+	srv, base := startStandalone(t)
+	client := &http.Client{}
+	for _, model := range []string{"A", "B"} {
+		for i := 0; i < 6; i++ {
+			if _, err := srv.Store().Put(store.Record{
 				Device: fmt.Sprintf("%s-%d", model, i), Model: model,
-				Score: 1000, EstimatedAmbient: 25, Accepted: true,
+				Score: 1000 + 10*float64(i), EstimatedAmbient: 25, Accepted: true,
 			}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		b.Refresh(model)
 	}
-	first := b.Bins()
-	want := []string{"alpha", "mid", "zeta"}
-	for i, mb := range first {
-		if mb.Model != want[i] {
-			t.Fatalf("Bins()[%d] = %s, want %s", i, mb.Model, want[i])
+	folds := func() uint64 {
+		return scrapeMetrics(t, client, base)["crowdd_bins_sketch_recomputes_total"]
+	}
+	get := func(path string) {
+		t.Helper()
+		resp, err := client.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		drainBody(t, resp)
+	}
+
+	before := folds()
+	get("/v1/bins?model=A")
+	if got := folds() - before; got != 1 {
+		t.Fatalf("GET /v1/bins?model=A ran %d folds, want 1 (A only; B's sketch must not be folded)", got)
+	}
+	get("/v1/bins?model=A")
+	if got := folds() - before; got != 1 {
+		t.Fatalf("repeat GET /v1/bins?model=A re-folded: %d folds total, want 1", got)
+	}
+	get("/v1/bins")
+	if got := folds() - before; got != 2 {
+		t.Fatalf("GET /v1/bins after the A read ran %d folds in total, want 2 (B's first fold)", got)
+	}
+	m := scrapeMetrics(t, client, base)
+	if m["crowdd_bin_recomputes_total"] != m["crowdd_bins_sketch_recomputes_total"] {
+		t.Errorf("bin_recomputes_total %d != bins_sketch_recomputes_total %d; both name the fold counter",
+			m["crowdd_bin_recomputes_total"], m["crowdd_bins_sketch_recomputes_total"])
+	}
+}
+
+// TestBinModeGate pins the deprecated Config.BinMode: only "" and
+// "sketch" are accepted, any other value is an error naming it, and a
+// refused New leaves the data dir free for the next one.
+func TestBinModeGate(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := server.New(server.Config{DataDir: dir, BinMode: "exact"}); err == nil {
+		t.Fatal(`New accepted BinMode "exact"`)
+	} else if !strings.Contains(err.Error(), `"exact"`) {
+		t.Fatalf("error %q does not name the refused mode", err)
+	}
+	for _, mode := range []string{"", server.BinModeSketch} {
+		srv, err := server.New(server.Config{DataDir: dir, BinMode: mode})
+		if err != nil {
+			t.Fatalf("New with BinMode %q after a refused New: %v", mode, err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	first[0].Model = "clobbered"
-	second := b.Bins()
-	if second[0].Model != "alpha" {
-		t.Fatal("mutating a returned Bins() slice leaked into the cache")
+}
+
+// TestBinnerConcurrentReadsConverge reads bins from several goroutines
+// while commits keep moving the sketch revision, then checks that the
+// cache ends at the final revision: a slow fold must never clobber a
+// fresher one. Run it under -race.
+func TestBinnerConcurrentReadsConverge(t *testing.T) {
+	st := store.New(4)
+	b := server.NewBinner(server.BinnerConfig{Store: st})
+	const n = 200
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				b.ModelBins("m")
+				b.Bins()
+			}
+		}()
 	}
-	// After a recompute the cache refreshes and the new model appears.
-	if _, err := st.Put(store.Record{Device: "new-0", Model: "aaa", Score: 1000, EstimatedAmbient: 25, Accepted: true}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < n; i++ {
+		if _, err := st.Put(store.Record{
+			Device: fmt.Sprintf("d-%d", i), Model: "m",
+			Score: 1000 + float64(i%7)*100, EstimatedAmbient: 25, Accepted: true,
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b.Refresh("aaa")
-	third := b.Bins()
-	if len(third) != 4 || third[0].Model != "aaa" {
-		t.Fatalf("Bins() after recompute = %v", third)
+	close(stop)
+	wg.Wait()
+
+	rev, _ := st.SketchRevision("m")
+	mb, ok := b.ModelBins("m")
+	if !ok || mb.Revision != rev || mb.Accepted != n {
+		t.Fatalf("after concurrent reads: ok=%v revision %d (store %d), accepted %d (want %d)", ok, mb.Revision, rev, mb.Accepted, n)
 	}
 }

@@ -32,10 +32,6 @@ const (
 // different ring views must not bounce an upload between them.
 const forwardedHeader = "X-Crowd-Forwarded"
 
-// staleHeader is the GET /v1/bins response header carrying the serve-time
-// age of the stalest model in the reply, milliseconds.
-const staleHeader = "X-Bins-Staleness-Ms"
-
 // ClusterConfig makes a Server one member of a replicated, sharded
 // crowdd cluster (topology and failure modes in docs/CLUSTER.md).
 type ClusterConfig struct {
@@ -63,10 +59,6 @@ type ClusterConfig struct {
 	// SnapshotGap is the reconcile pull size that counts as snapshot
 	// catch-up.
 	SnapshotGap int
-	// MaxStaleness bounds how old a served GET /v1/bins entry may be: a
-	// model whose cache has aged past the bound is recomputed before the
-	// response is written. <= 0 disables the bound.
-	MaxStaleness time.Duration
 	// MaxDrift is the HLC drift clamp for remote stamps
 	// (hlc.DefaultMaxDrift when 0).
 	MaxDrift time.Duration
@@ -165,7 +157,6 @@ func (s *Server) initCluster() error {
 			_, err := s.committer.Commit(r)
 			return err
 		},
-		OnApplied:         s.binner.MarkDirty,
 		AckTimeout:        cc.AckTimeout,
 		ShipInterval:      cc.ShipInterval,
 		ReconcileInterval: cc.ReconcileInterval,
@@ -331,34 +322,6 @@ func (s *Server) handleReplicateGet(w http.ResponseWriter, r *http.Request) {
 // handleDigest serves the per-model digests anti-entropy compares.
 func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.store.DigestAll())
-}
-
-// stampBinAges fills each entry's serve-time AgeMS and returns the
-// maximum. In cluster mode with a staleness bound, entries older than
-// the bound are recomputed first, so a served response never exceeds
-// the bound.
-func (s *Server) stampBinAges(bins []ModelBins) int64 {
-	var bound time.Duration
-	if s.cfg.Cluster != nil {
-		bound = s.cfg.Cluster.MaxStaleness
-	}
-	now := time.Now()
-	var maxAge int64
-	for i := range bins {
-		if bound > 0 && now.Sub(bins[i].refreshedAt) > bound {
-			bins[i] = s.binner.Refresh(bins[i].Model)
-			bins[i].refreshedAt = now
-		}
-		age := now.Sub(bins[i].refreshedAt).Milliseconds()
-		if age < 0 {
-			age = 0
-		}
-		bins[i].AgeMS = age
-		if age > maxAge {
-			maxAge = age
-		}
-	}
-	return maxAge
 }
 
 // Replicator exposes the node's replicator in cluster mode (nil

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"reflect"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -88,7 +87,6 @@ func startCluster(t *testing.T, n int, mut func(i int, cfg *server.Config)) []*c
 			}
 		}
 		cfg := server.Config{
-			BinDebounce: time.Millisecond,
 			Cluster: &server.ClusterConfig{
 				NodeID:            ids[i],
 				Peers:             peers,
@@ -186,16 +184,15 @@ func waitConverged(t *testing.T, client *http.Client, nodes []*clusterNode, wind
 	}
 }
 
-func fetchModelBins(t *testing.T, client *http.Client, base, model string) (server.ModelBins, string, bool) {
+func fetchModelBins(t *testing.T, client *http.Client, base, model string) (server.ModelBins, bool) {
 	t.Helper()
 	resp, err := client.Get(base + "/v1/bins?model=" + url.QueryEscape(model))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := resp.Header.Get("X-Bins-Staleness-Ms")
 	if resp.StatusCode != http.StatusOK {
 		drainBody(t, resp)
-		return server.ModelBins{}, stale, false
+		return server.ModelBins{}, false
 	}
 	var out struct {
 		Models []server.ModelBins `json:"models"`
@@ -205,17 +202,16 @@ func fetchModelBins(t *testing.T, client *http.Client, base, model string) (serv
 	}
 	resp.Body.Close()
 	if len(out.Models) == 0 {
-		return server.ModelBins{}, stale, false
+		return server.ModelBins{}, false
 	}
-	return out.Models[0], stale, true
+	return out.Models[0], true
 }
 
 // binKey is the portion of a bins reply that must be bit-identical on
 // every replica: population, discovered bins, centroids, sizes, slope.
-// Revision and age legitimately differ per node.
+// Revision legitimately differs per node.
 func binKey(mb server.ModelBins) string {
 	mb.Revision = 0
-	mb.AgeMS = 0
 	b, _ := json.Marshal(mb)
 	return string(b)
 }
@@ -273,8 +269,8 @@ func TestClusterReplicatesAndSurvivesKill(t *testing.T) {
 	// Bit-identical bins on the survivors once the binners settle.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		a, _, okA := fetchModelBins(t, client, survivors[0].url, "Nexus 5")
-		b, _, okB := fetchModelBins(t, client, survivors[1].url, "Nexus 5")
+		a, okA := fetchModelBins(t, client, survivors[0].url, "Nexus 5")
+		b, okB := fetchModelBins(t, client, survivors[1].url, "Nexus 5")
 		if okA && okB && a.Submissions == len(acked) && binKey(a) == binKey(b) {
 			if a.BinCount == 0 {
 				t.Fatalf("converged bins discovered no clusters over %d devices", a.Accepted)
@@ -353,42 +349,4 @@ func TestClusterRedirectRouting(t *testing.T) {
 	// Following the redirect by hand commits on the primary.
 	postAccepted(t, client, primaryNode, "redir-0", 1200)
 	waitConverged(t, client, nodes, 10*time.Second)
-}
-
-// TestClusterBinsStalenessBound pins the replica read contract: with
-// -max-staleness set, a served bins entry is never older than the bound
-// — an over-age cache recomputes before the response is written.
-func TestClusterBinsStalenessBound(t *testing.T) {
-	const bound = 75 * time.Millisecond
-	nodes := startCluster(t, 2, func(i int, cfg *server.Config) {
-		cfg.Cluster.MaxStaleness = bound
-		// A long debounce would leave the cache stale for seconds without
-		// the serve-time bound; the test relies on the bound alone.
-		cfg.BinDebounce = 10 * time.Millisecond
-	})
-	client := &http.Client{Timeout: 5 * time.Second}
-
-	for i := 0; i < 6; i++ {
-		postAccepted(t, client, nodes[0], fmt.Sprintf("stale-%d", i), 1000+float64(i)*30)
-	}
-	waitConverged(t, client, nodes, 10*time.Second)
-
-	for _, node := range nodes {
-		// Let the cached bins age well past the bound, then read.
-		time.Sleep(3 * bound)
-		mb, stale, ok := fetchModelBins(t, client, node.url, "Nexus 5")
-		if !ok {
-			t.Fatalf("no bins served on %s", node.id)
-		}
-		if mb.AgeMS > bound.Milliseconds() {
-			t.Errorf("%s served bins aged %dms, staleness bound is %dms", node.id, mb.AgeMS, bound.Milliseconds())
-		}
-		n, err := strconv.ParseInt(stale, 10, 64)
-		if err != nil {
-			t.Fatalf("%s X-Bins-Staleness-Ms = %q: %v", node.id, stale, err)
-		}
-		if n > bound.Milliseconds() {
-			t.Errorf("%s staleness header %dms exceeds bound %dms", node.id, n, bound.Milliseconds())
-		}
-	}
 }

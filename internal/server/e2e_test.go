@@ -90,7 +90,6 @@ func TestBackpressureDeterministic(t *testing.T) {
 		Workers:       1,
 		QueueDepth:    1,
 		SubmitTimeout: 50 * time.Millisecond,
-		BinDebounce:   time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +148,7 @@ func TestBackpressureDeterministic(t *testing.T) {
 // device, and the malformed corpus. Asserts verdict lookups, bins, and
 // the /metrics conservation laws after a graceful drain.
 func TestE2ESubmissionsToBins(t *testing.T) {
-	srv, err := server.New(server.Config{BinDebounce: time.Millisecond})
+	srv, err := server.New(server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +167,7 @@ func TestE2ESubmissionsToBins(t *testing.T) {
 		if i%2 == 1 {
 			score = 1600 // fast cluster
 		}
-		score += float64(i) // within-cluster spread
+		score += float64(i)                           // within-cluster spread
 		ambient := units.Celsius(21 + 0.8*float64(i)) // interior of the window; the boundary itself is float-rounding fragile
 		raw := testkit.AcceptedPayload(t, policy, fmt.Sprintf("e2e-%02d", i), score, ambient)
 		resp := postSubmission(t, client, ts.URL, raw)
@@ -255,7 +254,7 @@ func TestE2ESubmissionsToBins(t *testing.T) {
 	}
 	drainBody(t, resp)
 
-	// Bins: Close ran a final recompute, so the cache covers the full
+	// Bins: Close drained the pipeline, so the sketch covers the full
 	// accepted population.
 	resp, err = client.Get(ts.URL + "/v1/bins?model=Nexus+5")
 	if err != nil {
@@ -300,8 +299,9 @@ func TestE2ESubmissionsToBins(t *testing.T) {
 	drainBody(t, resp)
 }
 
-// stableBins is the /v1/bins payload minus Revision (a per-process
-// recompute counter that legitimately differs across restarts).
+// stableBins is the /v1/bins payload minus Revision (the store's
+// per-process sketch revision, which legitimately differs across
+// restarts).
 type stableBins struct {
 	Model        string    `json:"model"`
 	Submissions  int       `json:"submissions"`
@@ -390,10 +390,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	boot := func() *server.Server {
 		// FsyncEvery 0 = synchronous commits: every 202'd-and-stored
 		// submission is durable the moment the counter moves.
-		srv, err := server.New(server.Config{
-			DataDir:     dir,
-			BinDebounce: time.Millisecond,
-		})
+		srv, err := server.New(server.Config{DataDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -564,7 +561,6 @@ func TestTraceSpansE2E(t *testing.T) {
 	var buf bytes.Buffer
 	srv, err := server.New(server.Config{
 		DataDir:     t.TempDir(),
-		BinDebounce: time.Millisecond,
 		TraceWriter: &buf,
 	})
 	if err != nil {
@@ -636,7 +632,7 @@ func TestTraceSpansE2E(t *testing.T) {
 func TestGracefulShutdownSnapshotsE2E(t *testing.T) {
 	dir := t.TempDir()
 	policy := crowd.DefaultPolicy()
-	srv, err := server.New(server.Config{DataDir: dir, BinDebounce: time.Millisecond})
+	srv, err := server.New(server.Config{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

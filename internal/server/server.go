@@ -11,9 +11,8 @@
 //	                           chunked POST carrying length-prefixed,
 //	                           CRC-framed batch frames, acked per batch
 //	                           (internal/wire; docs/WIRE.md)
-//	GET  /v1/bins            — per-model bins: the exact-mode cache, or
-//	                           sketch-derived bins in -bin-mode sketch
-//	                           (docs/BINNING.md)
+//	GET  /v1/bins            — per-model bins folded from the store's
+//	                           population sketches (docs/BINNING.md)
 //	GET  /v1/sketch?model=M  — the model's population sketch, canonical
 //	                           binary encoding (mergeable; internal/stats)
 //	GET  /v1/devices/{id}    — one device's latest verdict
@@ -24,11 +23,13 @@
 //	                           latency histograms (internal/obs;
 //	                           reference in docs/METRICS.md)
 //
-// Uploads flow through the ingest pipeline (bounded, staged worker pool),
-// land in the sharded store, and mark their model dirty for the debounced
-// binning loop. The request path never runs the estimator or the
-// clustering inline: submissions return as soon as the pipeline accepts
-// the bytes, and bin reads are pure cache hits.
+// Uploads flow through the ingest pipeline (bounded, staged worker pool)
+// and land in the sharded store, which folds every commit into its
+// model's population sketch. The request path never runs the estimator
+// inline: submissions return as soon as the pipeline accepts the bytes.
+// A bins read clusters the current sketch, O(cells) and never O(corpus),
+// only when the model's sketch revision moved since the last read;
+// otherwise it is a pure cache hit.
 //
 // With Config.DataDir set the store is durable: each record commits
 // through internal/wal's segmented write-ahead log before becoming
@@ -71,12 +72,17 @@ type Config struct {
 	Policy crowd.Policy
 	// MaxK bounds the discovered bin count per model.
 	MaxK int
-	// BinMode selects the bin-serving path: BinModeExact (default) keeps
-	// the debounced full-recompute loop, BinModeSketch serves bins from
-	// the store's streaming population sketches with no background loop
+	// BinMode must be empty or BinModeSketch; New rejects any other
+	// value. Bins are always folded from the store's population sketches
 	// (docs/BINNING.md).
+	//
+	// Deprecated: kept only so existing configurations that set it to
+	// BinModeSketch still compile; it will be removed.
 	BinMode string
-	// BinDebounce is the binning loop's quiet period (exact mode).
+	// BinDebounce is ignored: there is no binning loop to debounce.
+	//
+	// Deprecated: kept only so existing configurations that set it still
+	// compile; it will be removed.
 	BinDebounce time.Duration
 	// SubmitTimeout bounds how long a saturated POST /v1/submissions may
 	// block before returning 503 (default 2 s).
@@ -115,8 +121,8 @@ type Config struct {
 	Cluster *ClusterConfig
 }
 
-// Server owns the store, the ingest pipeline and the binning loop, and
-// serves the HTTP API over them.
+// Server owns the store, the ingest pipeline and the binner, and serves
+// the HTTP API over them.
 type Server struct {
 	cfg      Config
 	store    *store.Store
@@ -143,6 +149,9 @@ type Server struct {
 // New assembles the backend. Call Start before serving, Close to shut
 // down gracefully.
 func New(cfg Config) (*Server, error) {
+	if cfg.BinMode != "" && cfg.BinMode != BinModeSketch {
+		return nil, fmt.Errorf("server: unknown bin mode %q (bins are always served from the sketches; leave BinMode empty)", cfg.BinMode)
+	}
 	if cfg.Policy == (crowd.Policy{}) {
 		cfg.Policy = crowd.DefaultPolicy()
 	}
@@ -175,28 +184,13 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	switch cfg.BinMode {
-	case "", BinModeExact, BinModeSketch:
-	default:
-		if pers != nil {
-			pers.Close()
-		}
-		return nil, fmt.Errorf("server: unknown bin mode %q (want %q or %q)", cfg.BinMode, BinModeExact, BinModeSketch)
-	}
-	binner := NewBinner(BinnerConfig{
-		Store:    st,
-		MaxK:     cfg.MaxK,
-		Mode:     cfg.BinMode,
-		Debounce: cfg.BinDebounce,
-		Obs:      reg,
-	})
+	binner := NewBinner(BinnerConfig{Store: st, MaxK: cfg.MaxK, Obs: reg})
 	s := &Server{cfg: cfg, store: st, binner: binner, mux: http.NewServeMux(), pers: pers, recovery: recovery, reg: reg}
 	icfg := ingest.Config{
 		Workers:    cfg.Workers,
 		QueueDepth: cfg.QueueDepth,
 		Policy:     cfg.Policy,
 		Store:      st,
-		OnStored:   binner.MarkDirty,
 		Obs:        reg,
 		Tracer:     obs.NewTracer(cfg.TraceWriter),
 	}
@@ -255,11 +249,13 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 }
 
 // registerGauges bridges the counters owned outside the registry — the
-// binning loop, the store's aggregates, the WAL's activity and the boot
-// recovery report — preserving every metric name the service has
-// exposed since it first served /metrics.
+// binner's fold count, the store's aggregates, the WAL's activity and
+// the boot recovery report — preserving every metric name the service
+// has exposed since it first served /metrics.
 func (s *Server) registerGauges() {
-	s.reg.Func("bin_recomputes_total", "per-model bin recomputes", "counter", s.binner.Recomputes)
+	// The original name for the binner's fold counter, which also backs
+	// bins_sketch_recomputes_total.
+	s.reg.Func("bin_recomputes_total", "per-model bin folds", "counter", s.binner.Recomputes)
 	s.reg.Func("store_records", "records held across all models", "gauge",
 		func() uint64 { return uint64(s.store.Len()) })
 	s.reg.Func("store_accepted_records", "stored records that survived the filters", "gauge",
@@ -300,26 +296,20 @@ func (s *Server) registerGauges() {
 		func() uint64 { return uint64(s.recovery.Replayed) })
 }
 
-// Start launches the ingest workers and the binning loop, and re-primes
-// the binner over any models recovered from the data dir — restored bins
-// come back without waiting for fresh submissions.
+// Start launches the ingest workers and, in cluster mode, the
+// replicator. Bins need no start: models recovered from the data dir are
+// already in the store's sketches.
 func (s *Server) Start(ctx context.Context) {
 	s.pipe.Start(ctx)
-	s.binner.Start()
 	if s.repl != nil {
 		s.repl.Start()
-	}
-	if s.pers != nil {
-		for _, model := range s.store.Models() {
-			s.binner.MarkDirty(model)
-		}
 	}
 }
 
 // Close shuts down gracefully, in durability order: drain the pipeline
-// (every enqueued submission commits), run the binner's final recompute,
-// then flush the WAL and cut a final snapshot — so a clean shutdown never
-// needs replay on the next boot.
+// (every enqueued submission commits), then flush the WAL and cut a
+// final snapshot — so a clean shutdown never needs replay on the next
+// boot.
 func (s *Server) Close() error {
 	s.pipe.Close()
 	if s.repl != nil {
@@ -328,7 +318,6 @@ func (s *Server) Close() error {
 		// pull on our next boot.
 		s.repl.Close()
 	}
-	s.binner.Stop()
 	if s.pers != nil {
 		return s.pers.Close()
 	}
@@ -336,12 +325,11 @@ func (s *Server) Close() error {
 }
 
 // Crash simulates a hard process kill for crash-recovery tests: the
-// binning loop stops, and the WAL is abandoned without the final flush or
+// replicator stops, and the WAL is abandoned without the final flush or
 // snapshot. Records whose commit completed are already durable — exactly
 // the set a real kill -9 would preserve. The caller hard-aborts the
 // pipeline by cancelling the Start context.
 func (s *Server) Crash() {
-	s.binner.Stop()
 	if s.repl != nil {
 		s.repl.Close()
 	}
@@ -377,7 +365,7 @@ func (s *Server) Counters() ingest.Counters { return s.pipe.Counters() }
 // Registry exposes the metrics registry backing GET /metrics.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Binner exposes the binning loop.
+// Binner exposes the binner.
 func (s *Server) Binner() *Binner { return s.binner }
 
 // submitResponse is the POST /v1/submissions reply body.
@@ -425,19 +413,20 @@ type binsResponse struct {
 	Models []ModelBins `json:"models"`
 }
 
+// handleBins serves every model's bins, or with ?model=M only M's —
+// folding only M's sketch if it moved.
 func (s *Server) handleBins(w http.ResponseWriter, r *http.Request) {
-	bins := s.binner.Bins()
-	if model := r.URL.Query().Get("model"); model != "" {
-		mb, ok := s.binner.ModelBins(model)
-		if !ok {
-			http.Error(w, fmt.Sprintf("no bins for model %q", model), http.StatusNotFound)
-			return
-		}
-		bins = []ModelBins{mb}
+	model := r.URL.Query().Get("model")
+	if model == "" {
+		writeJSON(w, http.StatusOK, binsResponse{Models: s.binner.Bins()})
+		return
 	}
-	maxAge := s.stampBinAges(bins)
-	w.Header().Set(staleHeader, strconv.FormatInt(maxAge, 10))
-	writeJSON(w, http.StatusOK, binsResponse{Models: bins})
+	mb, ok := s.binner.ModelBins(model)
+	if !ok {
+		http.Error(w, fmt.Sprintf("no bins for model %q", model), http.StatusNotFound)
+		return
+	}
+	writeJSON(w, http.StatusOK, binsResponse{Models: []ModelBins{mb}})
 }
 
 // sketchContentType is the GET /v1/sketch media type: the canonical
@@ -446,9 +435,8 @@ const sketchContentType = "application/x-accubench-sketch"
 
 // handleSketch serves one model's population sketch in its canonical
 // binary encoding — the transfer a peer, dashboard or offline analysis
-// merges with stats.BinSketch.Merge. Available in both bin modes: the
-// store maintains sketches on the commit path regardless of how bins
-// are served.
+// merges with stats.BinSketch.Merge — the same sketch GET /v1/bins
+// folds.
 func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
 	model := r.URL.Query().Get("model")
 	if model == "" {

@@ -21,15 +21,13 @@ import (
 	"accubench/internal/units"
 )
 
-// newTestServer assembles a backend with a fast binning loop and serves it
-// over httptest.
+// newTestServer assembles a backend and serves it over httptest.
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(Config{
-		Shards:      8,
-		Workers:     2,
-		QueueDepth:  32,
-		BinDebounce: 20 * time.Millisecond,
+		Shards:     8,
+		Workers:    2,
+		QueueDepth: 32,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,8 +133,8 @@ func TestServerEndToEndSyntheticPopulation(t *testing.T) {
 		t.Fatalf("POST garbage = %d (malformed uploads are dropped by the pipeline, not the handler)", code)
 	}
 
-	// The binning loop settles: both clusters discovered over the accepted
-	// population.
+	// The bins settle once the pipeline has stored every upload: both
+	// clusters discovered over the accepted population.
 	waitFor(t, 3*time.Second, "bins to settle", func() bool {
 		for _, mb := range getBins(t, ts) {
 			if mb.Model == model && mb.Accepted == accepted && mb.BinCount == 2 {
@@ -163,7 +161,8 @@ func TestServerEndToEndSyntheticPopulation(t *testing.T) {
 		t.Errorf("bin sizes = %v, want [6 6]", mb.Sizes)
 	}
 
-	// GET /v1/bins serves the cache: hammering it must not recompute.
+	// GET /v1/bins serves the cache: hammering it between commits must
+	// not re-fold.
 	before := s.Binner().Recomputes()
 	for i := 0; i < 50; i++ {
 		getBins(t, ts)
@@ -235,8 +234,7 @@ func TestServerEndToEndSyntheticPopulation(t *testing.T) {
 
 // TestServerSimulatedFleet drives the backend with real ACCUBENCH runs: a
 // small simulated Nexus 5 fleet benchmarks in the wild and uploads
-// concurrently, then the binning loop settles over the accepted
-// population.
+// concurrently, then the bins settle over the accepted population.
 func TestServerSimulatedFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated fleet")
@@ -307,7 +305,7 @@ func TestServerSimulatedFleet(t *testing.T) {
 }
 
 func TestServerShutdownRefusesUploads(t *testing.T) {
-	s, err := New(Config{Workers: 1, QueueDepth: 4, BinDebounce: 10 * time.Millisecond})
+	s, err := New(Config{Workers: 1, QueueDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

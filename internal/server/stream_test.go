@@ -37,7 +37,7 @@ func wireAccepted(t *testing.T, device string, score float64) wire.Submission {
 // startStandalone boots one in-memory server on an httptest listener.
 func startStandalone(t *testing.T, mut ...func(*server.Config)) (*server.Server, string) {
 	t.Helper()
-	cfg := server.Config{BinDebounce: time.Millisecond}
+	var cfg server.Config
 	for _, m := range mut {
 		m(&cfg)
 	}

@@ -37,11 +37,11 @@ import (
 //   - exact merge: merging shard or peer sketches is per-cell addition;
 //   - exact removal: a device resubmitting retracts its previous
 //     contribution precisely (counts decrement), so the sketch tracks
-//     the latest-record-per-device population the exact binner uses,
-//     not an append-only blur of history.
+//     the latest-record-per-device population an exact per-record
+//     binning would use, not an append-only blur of history.
 //
 // All three are bit-exact, so converged replicas serve bit-identical
-// sketch-mode bins, and Digest/AppendBinary are canonical over the
+// bins, and Digest/AppendBinary are canonical over the
 // observation multiset.
 type BinSketch struct {
 	// cells maps packed (ambient cell, score bucket) keys to counts.
@@ -283,12 +283,13 @@ func (s *BinSketch) AmbientSpread() float64 {
 }
 
 // AmbientFit fits score = a + slope·ambient by weighted least squares
-// over the cell representatives — the streaming form of the exact
-// binner's stats.LinearFit, carried as sufficient statistics
+// over the cell representatives — the streaming form of stats.LinearFit
+// over the exact population, carried as sufficient statistics
 // (Σw, Σwx, Σwy, Σwxy, Σwx²) accumulated in canonical cell order so the
 // result is deterministic. ok is false when the population is too small
 // (< 3) or too ambient-uniform (spread ≤ 0.5 °C) for the slope to be
-// identifiable — the same gate the exact path applies.
+// identifiable — the same gate the server tests' exact bins oracle
+// applies.
 func (s *BinSketch) AmbientFit() (slope float64, ok bool) {
 	if s.weight < 3 || s.AmbientSpread() <= 0.5 {
 		return 0, false

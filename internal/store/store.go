@@ -2,8 +2,8 @@
 // mutex-striped in-memory index of every upload, keyed by device model.
 //
 // The crowd service's hot path is highly concurrent — ingest workers
-// appending submissions while binning loops and HTTP readers scan whole
-// models — so a single lock would serialize everything. The store stripes
+// appending submissions while replication, anti-entropy and HTTP readers
+// scan whole models — so a single lock would serialize everything. The store stripes
 // its state across a fixed set of shards, each guarded by its own RWMutex:
 // a model's submission list lives in the shard its name hashes to, and a
 // secondary stripe indexes individual devices for point lookups. Writers
@@ -157,8 +157,8 @@ type deviceShard struct {
 	devices map[string]Record
 }
 
-// sketchShard stripes the per-model population sketches the sketch-mode
-// binner folds instead of scanning the corpus. Each model's sketch lives
+// sketchShard stripes the per-model population sketches the binner
+// folds instead of scanning the corpus. Each model's sketch lives
 // in the shard its name hashes to — the same index as its model shard —
 // but under its own lock: sketch maintenance is a commit-path side
 // effect that must not extend the model stripe's hold time, and bins
@@ -177,8 +177,8 @@ type sketchShard struct {
 // population untouched, just as the exact scan would see it.
 type modelSketch struct {
 	sk *stats.BinSketch
-	// rev increments on every mutation — the sketch-mode binner's cache
-	// invalidation key.
+	// rev increments on every mutation — the binner's cache invalidation
+	// key.
 	rev uint64
 	// latest is the winning record per device within this model, by the
 	// same Record.after order Latest resolves with. Application is
@@ -471,7 +471,7 @@ func (s *Store) noteSketch(r Record) {
 // was accepted, adding the new winner's if it is. The resulting sketch
 // is a pure function of the committed record set: any arrival order or
 // batch grouping converges to the same cells, so replicas that agree on
-// records agree on sketches (and therefore on sketch-mode bins).
+// records agree on sketches (and therefore on bins).
 func noteSketchLocked(sh *sketchShard, r Record) {
 	ms := sh.sketches[r.Model]
 	if ms == nil {
@@ -508,7 +508,7 @@ func (s *Store) SketchSnapshot(model string) (sk *stats.BinSketch, rev uint64, o
 }
 
 // SketchRevision returns the model's sketch revision without copying the
-// sketch — the sketch-mode binner's cache-freshness probe.
+// sketch — the binner's cache-freshness probe.
 func (s *Store) SketchRevision(model string) (uint64, bool) {
 	sh := &s.sketchShards[s.shardIndex(model)]
 	sh.mu.Lock()
@@ -562,13 +562,14 @@ func (s *Store) Model(model string) []Record {
 }
 
 // Latest returns the latest record per device for the model — the
-// population the binning loop clusters. "Latest" is by HLC stamp for
+// population each model's sketch summarizes, and the one the exact
+// bins oracle in the server tests clusters. "Latest" is by HLC stamp for
 // cluster-ingested records, by arrival for single-node ones. When every
 // winner carries a stamp the result is returned in canonical stamp
-// order, which is identical on every converged replica (the binner's
-// float accumulations then run in the same order everywhere, keeping
-// bins bit-identical across the cluster); otherwise it keeps the
-// first-seen device order single-node callers have always observed.
+// order, which is identical on every converged replica (float
+// accumulations over it then run in the same order everywhere);
+// otherwise it keeps the first-seen device order single-node callers
+// have always observed.
 func (s *Store) Latest(model string) []Record {
 	recs := s.Model(model)
 	idx := make(map[string]int, len(recs))
