@@ -8,7 +8,7 @@ FUZZTIME ?= 5s
 # Minimum acceptable total statement coverage, in percent.
 COVER_FLOOR ?= 75
 
-.PHONY: build test vet race race-repl chaos-smoke fuzz-smoke cover godoc-check orphans-check links-check bench bench-diff bench-smoke ci demo cluster-demo profile
+.PHONY: build test vet fmt-check race race-repl chaos-smoke fuzz-smoke cover godoc-check orphans-check links-check bench bench-diff bench-smoke ci demo cluster-demo profile
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when a tracked Go file is not gofmt-formatted. Only
+# tracked files are listed, so build outputs (.bench_build/) are never
+# scanned.
+fmt-check:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 # The whole tree races in ci: the service packages have load-bearing
 # concurrency, and the simulator must stay race-free for StudyParallel.
@@ -81,13 +87,11 @@ links-check:
 # bench runs the headline hot-path benchmarks (device step, thermal
 # step, Table II regeneration), prints benchstat-comparable output and
 # refreshes BENCH_5.json with the measured ns/op and allocs/op, then
-# the JSON-vs-binary ingest throughput comparison into BENCH_8.json
-# (docs/WIRE.md), then the batched fleet engine into BENCH_9.json
-# (docs/FLEET.md). See docs/PERFORMANCE.md for the hot-path map behind
-# these numbers.
+# the batched fleet engine into BENCH_9.json (docs/FLEET.md). See
+# docs/PERFORMANCE.md for the hot-path map behind these numbers; the
+# service's ingest paths are measured end to end by perfbench/.
 bench:
 	sh scripts/bench_run.sh
-	sh scripts/bench_ingest.sh
 	sh scripts/bench_fleet.sh
 
 # bench-diff re-measures and fails if any headline benchmark regressed
@@ -107,10 +111,11 @@ bench-smoke:
 		-bench '^(BenchmarkDeviceStep|BenchmarkThermalStep|BenchmarkTableII|BenchmarkFleetStep)$$' \
 		-benchmem -benchtime 10x .
 
-# ci is the full gate: vet, tier-1 build+test, the race pass over the
-# whole tree, the chaos scenario matrix, the fuzz smoke, the bench
-# smoke, then the documentation and orphaned-package checks.
-ci: vet build test race race-repl chaos-smoke fuzz-smoke bench-smoke godoc-check orphans-check links-check
+# ci is the full gate: vet, the gofmt check, tier-1 build+test, the
+# race pass over the whole tree, the chaos scenario matrix, the fuzz
+# smoke, the bench smoke, then the documentation and orphaned-package
+# checks.
+ci: vet fmt-check build test race race-repl chaos-smoke fuzz-smoke bench-smoke godoc-check orphans-check links-check
 
 # demo starts crowdd, fires a 200-device load at it, prints the bins and
 # shuts the server down.

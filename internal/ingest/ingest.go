@@ -1,24 +1,31 @@
-// Package ingest is the crowd backend's submission pipeline: a bounded,
-// staged worker pool that turns raw upload bytes into stored, filtered
-// records.
+// Package ingest is the crowd backend's submission path: it turns raw
+// uploads into stored, filtered records, and every record it keeps goes
+// through one commit seam, Committer.CommitBatch.
 //
-// The pipeline has three stages connected by bounded channels:
+// Each submission passes three steps:
 //
 //	decode   — parse and validate the JSON wire format
 //	evaluate — estimate the ambient from the cooldown trace (Aitken
 //	           extrapolation via crowd.Policy) and apply the strict filters
-//	store    — commit the verdict (WAL append + fsync first, when
-//	           durability is configured) and land it in the sharded
-//	           store, which folds it into the model's bin sketch
+//	commit   — hand the verdicts to the Committer (the WAL's append +
+//	           fsync, then the store insert, on a durable node), which
+//	           lands them in the sharded store and its bin sketches
 //
-// Each stage runs its own worker pool; an upload occupies exactly one
-// worker per stage, so slow evaluation of one submission never blocks
-// decoding of the next. The channels are bounded, which gives the HTTP
-// layer natural backpressure: Submit blocks (up to its context deadline)
-// when the pipeline is saturated instead of queueing without limit.
+// Two execution models run those steps:
 //
-// Shutdown is graceful by default: Close stops intake, lets every enqueued
-// submission drain through all three stages, then returns. Cancelling the
+//   - The staged pipeline behind Submit (standalone JSON): each step has
+//     its own worker pool, connected by bounded channels, so slow
+//     evaluation of one upload never blocks decoding of the next. Submit
+//     returns once the bytes are enqueued and blocks (up to its context
+//     deadline) while the pipeline is saturated.
+//   - The inline path behind SubmitBatch (the binary stream) and
+//     SubmitJSON (cluster JSON): the caller's goroutine runs a whole
+//     batch through the three steps and commits it with one CommitBatch
+//     call, after admission through a bound shared by all inline callers.
+//
+// Both keep the same counters, so the conservation laws hold across
+// them. Shutdown is graceful by default: Close stops intake, lets every
+// enqueued or admitted submission finish, then returns. Cancelling the
 // Start context instead aborts promptly, dropping queued items (counted,
 // never silent).
 package ingest
@@ -45,46 +52,69 @@ import (
 // cancellation) has stopped intake.
 var ErrClosed = errors.New("ingest: pipeline closed")
 
-// ErrBadPayload wraps decode failures surfaced by SubmitWait, so callers
+// ErrBadPayload wraps decode failures surfaced by SubmitJSON, so callers
 // can tell a malformed upload (client error) from a commit failure.
 var ErrBadPayload = errors.New("ingest: bad payload")
 
 // Config parameterizes a Pipeline.
 type Config struct {
-	// Workers is the per-stage worker count (DefaultWorkers if <= 0).
+	// Workers is the staged pipeline's per-stage worker count
+	// (DefaultWorkers if <= 0).
 	Workers int
 	// QueueDepth is the capacity of each inter-stage channel
-	// (DefaultQueueDepth if <= 0). Total in-flight bound is
-	// 3*QueueDepth + 3*Workers.
+	// (DefaultQueueDepth if <= 0). The staged pipeline holds at most
+	// 3*QueueDepth + 3*Workers submissions in flight; the inline path
+	// admits at most that many concurrent calls.
 	QueueDepth int
 	// Policy is the per-submission acceptance policy.
 	Policy crowd.Policy
-	// Store receives the verdicts. Required.
-	Store *store.Store
-	// WAL, when non-nil, makes the store stage durable: every record is
-	// committed — appended to the write-ahead log and fsynced, then
-	// inserted into the store with its log-assigned sequence number —
-	// instead of stored directly. This is the append-before-store commit
-	// point: a record is never visible without being durable.
-	WAL Committer
+	// Committer receives every verdict the pipeline keeps: a record is
+	// stored only through it, never directly. Required.
+	Committer Committer
 	// Obs is the metrics registry the pipeline's counters and per-stage
 	// latency histograms register in. Nil gets a private registry, so
 	// the pipeline is always instrumented; pass the service's registry
 	// to expose the metrics on its scrape surface.
 	Obs *obs.Registry
-	// Tracer, when non-nil and enabled, emits one span per stage per
-	// submission (decode, filter, wal_append, store), correlated by a
-	// trace ID assigned at Submit — the reconstructible per-upload
+	// Tracer, when non-nil and enabled, emits one span per step
+	// (decode, filter, wal_append, store) per staged submission or per
+	// inline batch, correlated by a trace ID — the reconstructible
 	// timeline behind crowdd's -trace flag.
 	Tracer *obs.Tracer
 }
 
-// Committer is the durability hook the store stage calls when a WAL is
-// configured. Commit must make the record durable and visible in the
-// store (setting its Seq) before returning; internal/wal.Persister is the
-// production implementation.
+// Committer is the pipeline's one commit seam. CommitBatch must make
+// every record of the batch visible in the store — durable first, when
+// it is a write-ahead log — and set each record's Seq before returning
+// nil. On error no record of the batch may have become visible.
+// internal/wal.Persister is the durable implementation, MemCommitter the
+// in-memory one.
 type Committer interface {
-	Commit(r *store.Record) (uint64, error)
+	CommitBatch(recs []*store.Record) error
+}
+
+// MemCommitter is the in-memory Committer: it assigns sequence numbers
+// from its own counter and inserts each batch through
+// store.PutSeqBatch. A node without a data directory commits through it.
+type MemCommitter struct {
+	st  *store.Store
+	seq atomic.Uint64
+}
+
+// NewMemCommitter returns a committer storing into st.
+func NewMemCommitter(st *store.Store) *MemCommitter { return &MemCommitter{st: st} }
+
+// CommitBatch assigns the batch consecutive sequence numbers and stores
+// it.
+func (c *MemCommitter) CommitBatch(recs []*store.Record) error {
+	n := uint64(len(recs))
+	first := c.seq.Add(n) - n + 1
+	vals := make([]store.Record, len(recs))
+	for i, r := range recs {
+		r.Seq = first + uint64(i)
+		vals[i] = *r
+	}
+	return c.st.PutSeqBatch(vals)
 }
 
 // DefaultWorkers is the per-stage worker count for Config.Workers <= 0.
@@ -97,11 +127,9 @@ const DefaultQueueDepth = 256
 // invariant after a graceful Close is
 //
 //	Received = DecodeErrors + Aborted + Stored + WALFailed
-//	Stored   = Accepted + Rejected
-//
-// and, when a WAL is configured, Stored = WALAppended.
+//	Stored   = Accepted + Rejected = WALAppended
 type Counters struct {
-	// Received counts uploads admitted by Submit.
+	// Received counts uploads admitted by Submit or the inline path.
 	Received uint64 `json:"received"`
 	// Decoded counts uploads that parsed and validated.
 	Decoded uint64 `json:"decoded"`
@@ -120,13 +148,14 @@ type Counters struct {
 	Rejected uint64 `json:"rejected"`
 	// Stored counts records written to the store.
 	Stored uint64 `json:"stored"`
-	// Aborted counts in-flight submissions dropped by a hard (context)
-	// shutdown.
+	// Aborted counts admitted submissions dropped before their commit by
+	// a hard (context) shutdown or, on the inline path, by an expired
+	// deadline.
 	Aborted uint64 `json:"aborted"`
-	// WALAppended counts records durably committed through the WAL before
-	// storing (zero when no WAL is configured).
+	// WALAppended counts records committed through the Committer — the
+	// WAL's durable append on a node with a data directory.
 	WALAppended uint64 `json:"wal_appended"`
-	// WALFailed counts records dropped because their WAL commit failed —
+	// WALFailed counts records dropped because their commit failed —
 	// they were never stored, so acceptance never outran durability.
 	WALFailed uint64 `json:"wal_failed"`
 }
@@ -146,7 +175,7 @@ type counters struct {
 func newCounters(reg *obs.Registry) counters {
 	c := func(name, help string) *obs.Counter { return reg.Counter(name, help) }
 	return counters{
-		received:         c("received_total", "uploads admitted by Submit"),
+		received:         c("received_total", "uploads admitted for ingest"),
 		decoded:          c("decoded_total", "uploads that parsed and validated"),
 		decodeErrors:     c("decode_errors_total", "malformed uploads dropped at decode"),
 		evaluated:        c("evaluated_total", "submissions whose trace yielded an ambient estimate"),
@@ -154,9 +183,9 @@ func newCounters(reg *obs.Registry) counters {
 		accepted:         c("accepted_total", "submissions that survived the strict filters"),
 		rejected:         c("rejected_total", "submissions filtered out"),
 		stored:           c("stored_total", "records written to the store"),
-		aborted:          c("aborted_total", "in-flight submissions dropped by a hard shutdown"),
-		walAppended:      c("wal_appended_total", "records durably committed through the WAL before storing"),
-		walFailed:        c("wal_failed_total", "records dropped because their WAL commit failed"),
+		aborted:          c("aborted_total", "admitted submissions dropped before their commit by a hard shutdown or an expired deadline"),
+		walAppended:      c("wal_appended_total", "records committed through the commit seam (the WAL, when configured)"),
+		walFailed:        c("wal_failed_total", "records dropped because their commit failed"),
 	}
 }
 
@@ -177,50 +206,34 @@ func (c *counters) snapshot() Counters {
 }
 
 // rawUpload, decodedSub and verdict are the inter-stage envelopes: the
-// payload plus the submission's trace ID (empty when tracing is off) and,
-// for SubmitWait uploads, the completion channel every terminal path must
-// resolve.
+// payload plus the submission's trace ID (empty when tracing is off).
 type rawUpload struct {
 	raw   []byte
 	trace string
-	done  chan<- submitResult
 }
 
 type decodedSub struct {
 	sub   Submission
 	trace string
-	done  chan<- submitResult
 }
 
 type verdict struct {
 	rec   store.Record
 	trace string
-	done  chan<- submitResult
 }
 
-// submitResult is what a SubmitWait upload resolves to: the committed
-// record (local sequence number assigned) or the error that dropped it.
-type submitResult struct {
-	rec store.Record
-	err error
-}
-
-// resolve completes a SubmitWait upload. The channel is buffered and
-// receives exactly one send, so this never blocks a worker.
-func resolve(done chan<- submitResult, rec store.Record, err error) {
-	if done != nil {
-		done <- submitResult{rec: rec, err: err}
-	}
-}
-
-// Pipeline is the staged ingestion worker pool. Create with New, launch
-// with Start, feed with Submit, and stop with Close.
+// Pipeline is the ingest path: the staged worker pool plus the inline
+// batch path. Create with New, launch with Start, feed with Submit,
+// SubmitBatch or SubmitJSON, and stop with Close.
 type Pipeline struct {
 	cfg Config
 
 	raw       chan rawUpload
 	decoded   chan decodedSub
 	evaluated chan verdict
+	// inline holds one token per admitted inline call (SubmitBatch,
+	// SubmitJSON); its capacity is the inline path's concurrency bound.
+	inline chan struct{}
 
 	ctr    counters
 	tracer *obs.Tracer
@@ -243,8 +256,8 @@ type Pipeline struct {
 
 // New creates a pipeline. Start must be called before Submit.
 func New(cfg Config) (*Pipeline, error) {
-	if cfg.Store == nil {
-		return nil, fmt.Errorf("ingest: config needs a store")
+	if cfg.Committer == nil {
+		return nil, fmt.Errorf("ingest: config needs a committer")
 	}
 	if err := cfg.Policy.Validate(); err != nil {
 		return nil, err
@@ -268,6 +281,7 @@ func New(cfg Config) (*Pipeline, error) {
 		raw:       make(chan rawUpload, cfg.QueueDepth),
 		decoded:   make(chan decodedSub, cfg.QueueDepth),
 		evaluated: make(chan verdict, cfg.QueueDepth),
+		inline:    make(chan struct{}, 3*(cfg.QueueDepth+cfg.Workers)),
 		ctr:       newCounters(cfg.Obs),
 		tracer:    cfg.Tracer,
 		decodeDur: stageDur.With("decode"),
@@ -359,46 +373,10 @@ func (p *Pipeline) Submit(ctx context.Context, raw []byte) error {
 	}
 }
 
-// SubmitWait feeds one raw upload into the pipeline and blocks until the
-// submission reaches a terminal state: durably committed (the record is
-// returned with its local sequence number), rejected at decode
-// (ErrBadPayload), or dropped by a failed commit or shutdown. This is the
-// cluster ingest path: a node must not acknowledge a submission it could
-// still lose, so the 202 waits for the commit instead of the enqueue.
-func (p *Pipeline) SubmitWait(ctx context.Context, raw []byte) (store.Record, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return store.Record{}, ErrClosed
-	}
-	p.submitters.Add(1)
-	p.mu.Unlock()
-	defer p.submitters.Done()
-
-	done := make(chan submitResult, 1)
-	select {
-	case p.raw <- rawUpload{raw: raw, trace: p.tracer.NewTrace(), done: done}:
-		p.ctr.received.Inc()
-	case <-p.stop:
-		return store.Record{}, ErrClosed
-	case <-ctx.Done():
-		return store.Record{}, ctx.Err()
-	}
-	select {
-	case res := <-done:
-		return res.rec, res.err
-	case <-ctx.Done():
-		// The upload keeps flowing and will commit or drop on its own;
-		// the caller just stops waiting.
-		return store.Record{}, ctx.Err()
-	case <-p.stop:
-		return store.Record{}, ErrClosed
-	}
-}
-
-// Close gracefully shuts the pipeline down: intake stops (Submit returns
-// ErrClosed), every enqueued submission drains through all stages, then
-// workers exit. Safe to call more than once.
+// Close gracefully shuts the pipeline down: intake stops (every Submit*
+// returns ErrClosed), every enqueued submission drains through all
+// stages and every admitted inline call finishes, then workers exit.
+// Safe to call more than once.
 func (p *Pipeline) Close() {
 	p.closeIntake(true)
 	if p.started.Load() {
@@ -423,7 +401,6 @@ func (p *Pipeline) decodeWorker() {
 	for item := range p.raw {
 		if p.aborting() {
 			p.ctr.aborted.Inc()
-			resolve(item.done, store.Record{}, ErrClosed)
 			continue
 		}
 		t0 := time.Now()
@@ -433,16 +410,14 @@ func (p *Pipeline) decodeWorker() {
 		if err != nil {
 			p.ctr.decodeErrors.Inc()
 			p.tracer.Emit(obs.Span{Trace: item.trace, Name: "decode", Err: err}, t0, dur)
-			resolve(item.done, store.Record{}, fmt.Errorf("%w: %v", ErrBadPayload, err))
 			continue
 		}
 		p.ctr.decoded.Inc()
 		p.tracer.Emit(obs.Span{Trace: item.trace, Name: "decode", Device: sub.Device, Model: sub.Model}, t0, dur)
 		select {
-		case p.decoded <- decodedSub{sub: sub, trace: item.trace, done: item.done}:
+		case p.decoded <- decodedSub{sub: sub, trace: item.trace}:
 		case <-p.stop:
 			p.ctr.aborted.Inc()
-			resolve(item.done, store.Record{}, ErrClosed)
 		}
 	}
 }
@@ -451,7 +426,6 @@ func (p *Pipeline) evaluateWorker() {
 	for item := range p.decoded {
 		if p.aborting() {
 			p.ctr.aborted.Inc()
-			resolve(item.done, store.Record{}, ErrClosed)
 			continue
 		}
 		t0 := time.Now()
@@ -460,10 +434,9 @@ func (p *Pipeline) evaluateWorker() {
 		p.filterDur.Observe(dur.Seconds())
 		p.tracer.Emit(obs.Span{Trace: item.trace, Name: "filter", Device: rec.Device, Model: rec.Model}, t0, dur)
 		select {
-		case p.evaluated <- verdict{rec: rec, trace: item.trace, done: item.done}:
+		case p.evaluated <- verdict{rec: rec, trace: item.trace}:
 		case <-p.stop:
 			p.ctr.aborted.Inc()
-			resolve(item.done, store.Record{}, ErrClosed)
 		}
 	}
 }
@@ -497,51 +470,59 @@ func (p *Pipeline) storeWorker() {
 	for item := range p.evaluated {
 		if p.aborting() {
 			p.ctr.aborted.Inc()
-			resolve(item.done, store.Record{}, ErrClosed)
 			continue
 		}
 		rec := item.rec
-		t0 := time.Now()
-		if p.cfg.WAL != nil {
-			// Append-before-store: the record is fsynced into the log —
-			// which assigns its sequence number — before it becomes
-			// visible. A failed commit drops the record (counted), never
-			// stores it: acceptance must not outrun durability. The
-			// wal_append span covers the whole commit (fsynced append plus
-			// the store insert it gates); the store span that follows is
-			// the visibility bookkeeping.
-			_, err := p.cfg.WAL.Commit(&rec)
-			dur := time.Since(t0)
-			p.walDur.Observe(dur.Seconds())
-			p.tracer.Emit(obs.Span{Trace: item.trace, Name: "wal_append", Device: rec.Device, Model: rec.Model, Seq: rec.Seq, Err: err}, t0, dur)
-			if err != nil {
-				p.ctr.walFailed.Inc()
-				resolve(item.done, store.Record{}, err)
-				continue
-			}
-			p.ctr.walAppended.Inc()
-			t0 = time.Now()
-		} else if seq, err := p.cfg.Store.Put(rec); err != nil {
-			// Validated at decode; a store rejection here is a bug, but
-			// never lose count of the submission.
-			p.tracer.Emit(obs.Span{Trace: item.trace, Name: "store", Device: rec.Device, Model: rec.Model, Err: err}, t0, time.Since(t0))
-			p.ctr.aborted.Inc()
-			resolve(item.done, store.Record{}, err)
-			continue
-		} else {
-			rec.Seq = seq
-		}
-		if rec.Accepted {
+		// The upload was acknowledged on enqueue, so a failed commit has
+		// no caller to report to; commit counts it under wal_failed.
+		p.commit(item.trace, []*store.Record{&rec})
+	}
+}
+
+// commit is the pipeline's one commit point, shared by the staged store
+// stage and the inline path: the batch goes through the Committer —
+// fsynced into the log before it becomes visible, on a durable node —
+// and only then counts as stored. A failed commit drops the whole batch,
+// counted under wal_failed and never stored: acceptance must not outrun
+// durability. The wal_append span covers the commit itself (durable
+// append plus the store insert it gates); the store span that follows
+// is the verdict bookkeeping.
+func (p *Pipeline) commit(trace string, recs []*store.Record) error {
+	n := uint64(len(recs))
+	t0 := time.Now()
+	err := p.cfg.Committer.CommitBatch(recs)
+	dur := time.Since(t0)
+	p.walDur.Observe(dur.Seconds())
+	p.tracer.Emit(batchSpan(trace, "wal_append", recs, err), t0, dur)
+	if err != nil {
+		p.ctr.walFailed.Add(n)
+		return err
+	}
+	p.ctr.walAppended.Add(n)
+	t0 = time.Now()
+	for _, r := range recs {
+		if r.Accepted {
 			p.ctr.accepted.Inc()
 		} else {
 			p.ctr.rejected.Inc()
 		}
-		p.ctr.stored.Inc()
-		dur := time.Since(t0)
-		p.storeDur.Observe(dur.Seconds())
-		p.tracer.Emit(obs.Span{Trace: item.trace, Name: "store", Device: rec.Device, Model: rec.Model, Seq: rec.Seq}, t0, dur)
-		resolve(item.done, rec, nil)
 	}
+	p.ctr.stored.Add(n)
+	dur = time.Since(t0)
+	p.storeDur.Observe(dur.Seconds())
+	p.tracer.Emit(batchSpan(trace, "store", recs, nil), t0, dur)
+	return nil
+}
+
+// batchSpan is one step's span over a batch. A batch of one carries its
+// record's device, model and (once committed) sequence number, exactly
+// like a staged submission's span.
+func batchSpan(trace, name string, recs []*store.Record, err error) obs.Span {
+	s := obs.Span{Trace: trace, Name: name, Err: err}
+	if len(recs) == 1 {
+		s.Device, s.Model, s.Seq = recs[0].Device, recs[0].Model, recs[0].Seq
+	}
+	return s
 }
 
 // Submission is the crowd app's upload payload — the wire format of

@@ -34,7 +34,7 @@ func payload(t *testing.T, device string, score, amb float64) []byte {
 
 func newPipeline(t *testing.T, st *store.Store, mut ...func(*Config)) *Pipeline {
 	t.Helper()
-	cfg := Config{Workers: 2, QueueDepth: 8, Policy: crowd.DefaultPolicy(), Store: st}
+	cfg := Config{Workers: 2, QueueDepth: 8, Policy: crowd.DefaultPolicy(), Committer: NewMemCommitter(st)}
 	for _, m := range mut {
 		m(&cfg)
 	}
@@ -219,16 +219,16 @@ func TestMarshalRoundTrip(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Policy: crowd.DefaultPolicy()}); err == nil {
-		t.Error("config without store accepted")
+		t.Error("config without committer accepted")
 	}
-	if _, err := New(Config{Store: store.New(1)}); err == nil {
+	if _, err := New(Config{Committer: NewMemCommitter(store.New(1))}); err == nil {
 		t.Error("config with empty policy window accepted")
 	}
 }
 
 // committer is a test double for the WAL's commit point: it assigns
 // sequence numbers, forwards to the store like the real Persister, and
-// fails on demand after a set number of commits.
+// fails every commit on demand.
 type committer struct {
 	st      *store.Store
 	mu      sync.Mutex
@@ -236,24 +236,26 @@ type committer struct {
 	failAll bool
 }
 
-func (c *committer) Commit(r *store.Record) (uint64, error) {
+func (c *committer) CommitBatch(recs []*store.Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.failAll {
-		return 0, errors.New("disk full")
+		return errors.New("disk full")
 	}
-	c.seq++
-	r.Seq = c.seq
-	if err := c.st.PutSeq(*r); err != nil {
-		return 0, err
+	for _, r := range recs {
+		c.seq++
+		r.Seq = c.seq
+		if err := c.st.PutSeq(*r); err != nil {
+			return err
+		}
 	}
-	return c.seq, nil
+	return nil
 }
 
 func TestPipelineCommitsThroughWAL(t *testing.T) {
 	st := store.New(4)
 	wal := &committer{st: st}
-	p := newPipeline(t, st, func(c *Config) { c.WAL = wal })
+	p := newPipeline(t, st, func(c *Config) { c.Committer = wal })
 	p.Start(context.Background())
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -282,7 +284,7 @@ func TestPipelineCommitsThroughWAL(t *testing.T) {
 func TestPipelineCountsWALFailures(t *testing.T) {
 	st := store.New(4)
 	wal := &committer{st: st, failAll: true}
-	p := newPipeline(t, st, func(c *Config) { c.WAL = wal })
+	p := newPipeline(t, st, func(c *Config) { c.Committer = wal })
 	p.Start(context.Background())
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -72,64 +72,32 @@ type ClusterConfig struct {
 	Now func() time.Time
 }
 
-// clusterCommitter wraps the node's durable commit path with HLC
-// stamping: a record ingested here is stamped once — before the WAL
-// append, so its cluster-wide identity is as durable as the record —
-// while records arriving already stamped (replication applies) pass
-// through untouched.
+// clusterCommitter wraps the node's commit path — the WAL, or the
+// in-memory committer — with HLC stamping: a record ingested here is
+// stamped once, before the commit, so its cluster-wide identity is as
+// durable as the record, while records arriving already stamped
+// (replication applies) pass through untouched.
 type clusterCommitter struct {
 	nodeID string
 	clock  *hlc.Clock
-	base   ingest.Committer // nil when the node runs in-memory
-	st     *store.Store
+	base   ingest.Committer
 }
 
-func (c *clusterCommitter) Commit(r *store.Record) (uint64, error) {
-	if r.Stamp().IsZero() {
-		r.SetStamp(c.nodeID, c.clock.Now())
-	}
-	if c.base != nil {
-		return c.base.Commit(r)
-	}
-	seq, err := c.st.Put(*r)
-	if err == nil {
-		r.Seq = seq
-	}
-	return seq, err
-}
-
-// CommitBatch stamps and group-commits a whole ingest batch, keeping
-// the streaming path on the WAL's single-append fast path when the
-// underlying committer supports it. It implements ingest.BatchCommitter.
+// CommitBatch stamps the unstamped records, then commits the batch
+// through the base committer. It implements ingest.Committer.
 func (c *clusterCommitter) CommitBatch(recs []*store.Record) error {
 	for _, r := range recs {
 		if r.Stamp().IsZero() {
 			r.SetStamp(c.nodeID, c.clock.Now())
 		}
 	}
-	if bc, ok := c.base.(ingest.BatchCommitter); ok {
-		return bc.CommitBatch(recs)
-	}
-	for _, r := range recs {
-		if c.base != nil {
-			if _, err := c.base.Commit(r); err != nil {
-				return err
-			}
-			continue
-		}
-		seq, err := c.st.Put(*r)
-		if err != nil {
-			return err
-		}
-		r.Seq = seq
-	}
-	return nil
+	return c.base.CommitBatch(recs)
 }
 
-// initCluster builds the node's clock, committer and replicator, and
-// mounts the cluster routes. Called from New when Config.Cluster is set,
-// after the store and persistence exist but before the pipeline (which
-// needs the committer).
+// initCluster builds the node's clock and replicator and wraps the
+// node's committer with HLC stamping. Called from New when
+// Config.Cluster is set, after the store and its committer exist but
+// before the pipeline (which commits through the wrapped committer).
 func (s *Server) initCluster() error {
 	cc := s.cfg.Cluster
 	if cc.NodeID == "" {
@@ -137,11 +105,7 @@ func (s *Server) initCluster() error {
 	}
 	s.clock = hlc.NewClock(cc.Now, cc.MaxDrift)
 	s.rmet = obs.NewReplicationMetrics(s.reg)
-	var base ingest.Committer
-	if s.pers != nil {
-		base = s.pers
-	}
-	s.committer = &clusterCommitter{nodeID: cc.NodeID, clock: s.clock, base: base, st: s.store}
+	s.committer = &clusterCommitter{nodeID: cc.NodeID, clock: s.clock, base: s.committer}
 	s.peerClient = cc.Client
 	if s.peerClient == nil {
 		s.peerClient = &http.Client{Timeout: 5 * time.Second}
@@ -154,8 +118,7 @@ func (s *Server) initCluster() error {
 		Clock:    s.clock,
 		Store:    s.store,
 		Apply: func(r *store.Record) error {
-			_, err := s.committer.Commit(r)
-			return err
+			return s.committer.CommitBatch([]*store.Record{r})
 		},
 		AckTimeout:        cc.AckTimeout,
 		ShipInterval:      cc.ShipInterval,
@@ -210,7 +173,7 @@ func (s *Server) handleClusterSubmit(w http.ResponseWriter, r *http.Request, bod
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.SubmitTimeout)
 	defer cancel()
-	rec, err := s.pipe.SubmitWait(ctx, body)
+	rec, err := s.pipe.SubmitJSON(ctx, body)
 	switch {
 	case err == nil:
 	case errors.Is(err, ingest.ErrBadPayload):
@@ -221,7 +184,7 @@ func (s *Server) handleClusterSubmit(w http.ResponseWriter, r *http.Request, bod
 		return
 	case errors.Is(err, context.DeadlineExceeded):
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, submitResponse{Status: "overloaded", Error: "commit did not finish in time"})
+		writeJSON(w, http.StatusServiceUnavailable, submitResponse{Status: "overloaded", Error: "ingest saturated: commit not started in time"})
 		return
 	default:
 		writeJSON(w, http.StatusServiceUnavailable, submitResponse{Status: "error", Error: err.Error()})

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -349,4 +350,84 @@ func TestClusterRedirectRouting(t *testing.T) {
 	// Following the redirect by hand commits on the primary.
 	postAccepted(t, client, primaryNode, "redir-0", 1200)
 	waitConverged(t, client, nodes, 10*time.Second)
+}
+
+// TestClusterJSONBackpressure pins cluster JSON's overload answer. The
+// primary's fsyncs are stalled and its inline bound is small (Workers 1,
+// QueueDepth 1: 3*(1+1) = 6 concurrent commits), so six uploads hold
+// every slot and the seventh cannot be admitted within SubmitTimeout:
+// it must get 503 overloaded with Retry-After: 1, uncounted. Once the
+// stall ends the six are committed and the retry is too.
+func TestClusterJSONBackpressure(t *testing.T) {
+	const bound = 6
+	release := make(chan struct{})
+	var once sync.Once
+	unstall := func() { once.Do(func() { close(release) }) }
+	defer unstall() // before the cluster's cleanup closes the nodes
+	nodes := startCluster(t, 2, func(i int, cfg *server.Config) {
+		cfg.DataDir = t.TempDir()
+		cfg.FsyncDelay = func() { <-release }
+		cfg.Workers, cfg.QueueDepth = 1, 1
+		cfg.SubmitTimeout = 100 * time.Millisecond
+	})
+	primary := nodes[0]
+	if !primary.srv.Replicator().IsPrimary("Nexus 5") {
+		primary = nodes[1]
+	}
+	client := &http.Client{Timeout: 30 * time.Second}
+	policy := crowd.DefaultPolicy()
+
+	codes := make(chan int, bound)
+	for i := 0; i < bound; i++ {
+		raw := testkit.AcceptedPayload(t, policy, fmt.Sprintf("bp-%d", i), 1000+float64(i), 25)
+		go func() {
+			resp, err := client.Post(primary.url+"/v1/submissions", "application/json", bytes.NewReader(raw))
+			if err != nil {
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for primary.srv.Counters().Received < bound {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d stalled uploads admitted", primary.srv.Counters().Received, bound)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	extra := testkit.AcceptedPayload(t, policy, "bp-extra", 1200, 25)
+	resp := postSubmission(t, client, primary.url, extra)
+	body := drainBody(t, resp)
+	var sr struct {
+		Status string `json:"status"`
+	}
+	json.Unmarshal([]byte(body), &sr)
+	if resp.StatusCode != http.StatusServiceUnavailable || sr.Status != "overloaded" {
+		t.Fatalf("POST past the bound = %d %s, want 503 overloaded", resp.StatusCode, body)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("overloaded response Retry-After = %q, want 1", ra)
+	}
+	if got := primary.srv.Counters().Received; got != bound {
+		t.Errorf("refused upload was counted: received %d, want %d", got, bound)
+	}
+
+	unstall()
+	for i := 0; i < bound; i++ {
+		if code := <-codes; code != http.StatusAccepted {
+			t.Errorf("stalled upload answered %d after the stall, want 202", code)
+		}
+	}
+	resp = postSubmission(t, client, primary.url, extra)
+	if body := drainBody(t, resp); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("retry after the stall = %d %s, want 202", resp.StatusCode, body)
+	}
+	c := primary.srv.Counters()
+	testkit.CheckCounterFlow(t, c)
+	if c.Received != bound+1 || c.Stored != bound+1 {
+		t.Errorf("counters = %+v, want %d received and stored", c, bound+1)
+	}
 }

@@ -552,6 +552,34 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	}
 }
 
+// traceSpan is the part of an emitted span line the tests check.
+type traceSpan struct {
+	Trace  string  `json:"trace"`
+	Span   string  `json:"span"`
+	Device string  `json:"device"`
+	Model  string  `json:"model"`
+	Seq    uint64  `json:"seq"`
+	DurUS  float64 `json:"dur_us"`
+	Err    string  `json:"err"`
+}
+
+// parseSpans decodes a tracer's output, one JSON span per line.
+func parseSpans(t *testing.T, out string) []traceSpan {
+	t.Helper()
+	var spans []traceSpan
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if line == "" {
+			continue
+		}
+		var s traceSpan
+		if err := json.Unmarshal([]byte(line), &s); err != nil {
+			t.Fatalf("trace output line %q is not a JSON span: %v", line, err)
+		}
+		spans = append(spans, s)
+	}
+	return spans
+}
+
 // TestTraceSpansE2E pins the tracing contract: with a TraceWriter set
 // and a data dir, one accepted submission emits exactly one trace — a
 // span per pipeline stage, decode → filter → wal_append → store, all
@@ -580,25 +608,7 @@ func TestTraceSpansE2E(t *testing.T) {
 	srv.Close() // drain: every span is flushed before the buffer is read
 	ts.Close()
 
-	type span struct {
-		Trace  string  `json:"trace"`
-		Span   string  `json:"span"`
-		Device string  `json:"device"`
-		Seq    uint64  `json:"seq"`
-		DurUS  float64 `json:"dur_us"`
-		Err    string  `json:"err"`
-	}
-	var spans []span
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		if line == "" {
-			continue
-		}
-		var s span
-		if err := json.Unmarshal([]byte(line), &s); err != nil {
-			t.Fatalf("trace output line %q is not a JSON span: %v", line, err)
-		}
-		spans = append(spans, s)
-	}
+	spans := parseSpans(t, buf.String())
 
 	wantChain := []string{"decode", "filter", "wal_append", "store"}
 	if len(spans) != len(wantChain) {

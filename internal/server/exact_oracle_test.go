@@ -21,8 +21,23 @@ const exactMinClusterPop = 4
 // applies.
 func exactBins(st *store.Store, model string, maxK int) server.ModelBins {
 	all := st.Model(model)
-	latest := st.Latest(model)
 	mb := server.ModelBins{Model: model, Submissions: len(all)}
+
+	// Each device's newest record, in first-seen order. Store.Device is
+	// global across models, so a device whose newest record moved to
+	// another model is skipped; no population the oracle runs on moves
+	// devices between models.
+	var latest []store.Record
+	seen := make(map[string]bool)
+	for _, r := range all {
+		if seen[r.Device] {
+			continue
+		}
+		seen[r.Device] = true
+		if rec, ok := st.Device(r.Device); ok && rec.Model == model {
+			latest = append(latest, rec)
+		}
+	}
 
 	var scores, ambs []float64
 	for _, r := range latest {

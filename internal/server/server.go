@@ -6,7 +6,9 @@
 //
 // The HTTP JSON API:
 //
-//	POST /v1/submissions     — upload one benchmark run (202 on enqueue)
+//	POST /v1/submissions     — upload one benchmark run (202 on enqueue;
+//	                           in cluster mode 202 once committed and
+//	                           replicated)
 //	POST /v1/stream          — binary streaming batch ingest: a held-open
 //	                           chunked POST carrying length-prefixed,
 //	                           CRC-framed batch frames, acked per batch
@@ -23,13 +25,15 @@
 //	                           latency histograms (internal/obs;
 //	                           reference in docs/METRICS.md)
 //
-// Uploads flow through the ingest pipeline (bounded, staged worker pool)
-// and land in the sharded store, which folds every commit into its
-// model's population sketch. The request path never runs the estimator
-// inline: submissions return as soon as the pipeline accepts the bytes.
-// A bins read clusters the current sketch, O(cells) and never O(corpus),
-// only when the model's sketch revision moved since the last read;
-// otherwise it is a pure cache hit.
+// Uploads flow through internal/ingest and commit through the node's one
+// commit seam (an ingest.Committer: the WAL, or the in-memory committer;
+// HLC-stamping in cluster mode) into the sharded store, which folds
+// every commit into its model's population sketch. Standalone JSON runs
+// through the staged worker pool and returns as soon as the pipeline
+// accepts the bytes; stream batches and cluster JSON commit inline
+// before they are acknowledged. A bins read clusters the current
+// sketch, O(cells) and never O(corpus), only when the model's sketch
+// revision moved since the last read; otherwise it is a pure cache hit.
 //
 // With Config.DataDir set the store is durable: each record commits
 // through internal/wal's segmented write-ahead log before becoming
@@ -66,6 +70,8 @@ type Config struct {
 	// Workers is the ingest pipeline's per-stage worker count.
 	Workers int
 	// QueueDepth is the ingest pipeline's per-stage queue capacity.
+	// Inline commits (stream batches, cluster JSON) are admitted up to
+	// 3*(QueueDepth+Workers) at a time.
 	QueueDepth int
 	// Policy is the per-submission acceptance policy (crowd.DefaultPolicy
 	// if zero).
@@ -84,8 +90,9 @@ type Config struct {
 	// Deprecated: kept only so existing configurations that set it still
 	// compile; it will be removed.
 	BinDebounce time.Duration
-	// SubmitTimeout bounds how long a saturated POST /v1/submissions may
-	// block before returning 503 (default 2 s).
+	// SubmitTimeout bounds how long a saturated upload may wait for a
+	// queue slot or inline admission before it is refused with 503
+	// (default 2 s).
 	SubmitTimeout time.Duration
 	// MaxBodyBytes caps upload size (default 1 MiB).
 	MaxBodyBytes int64
@@ -136,8 +143,12 @@ type Server struct {
 	clock      *hlc.Clock
 	repl       *replication.Replicator
 	rmet       *obs.ReplicationMetrics
-	committer  *clusterCommitter
 	peerClient *http.Client
+
+	// committer is the node's one commit seam: the WAL (or the in-memory
+	// committer), HLC-stamped in cluster mode. Ingest and replica
+	// applies both commit through it.
+	committer ingest.Committer
 
 	reg              *obs.Registry
 	httpReqs         *obs.CounterVec
@@ -186,30 +197,26 @@ func New(cfg Config) (*Server, error) {
 	}
 	binner := NewBinner(BinnerConfig{Store: st, MaxK: cfg.MaxK, Obs: reg})
 	s := &Server{cfg: cfg, store: st, binner: binner, mux: http.NewServeMux(), pers: pers, recovery: recovery, reg: reg}
-	icfg := ingest.Config{
-		Workers:    cfg.Workers,
-		QueueDepth: cfg.QueueDepth,
-		Policy:     cfg.Policy,
-		Store:      st,
-		Obs:        reg,
-		Tracer:     obs.NewTracer(cfg.TraceWriter),
-	}
+	s.committer = ingest.NewMemCommitter(st)
 	if pers != nil {
-		icfg.WAL = pers
+		s.committer = pers
 	}
 	if cfg.Cluster != nil {
-		// The cluster committer wraps the WAL (or the bare store) with
-		// HLC stamping; the pipeline commits through it so every record
-		// carries its cluster-wide identity before it is durable.
 		if err := s.initCluster(); err != nil {
 			if pers != nil {
 				pers.Close()
 			}
 			return nil, err
 		}
-		icfg.WAL = s.committer
 	}
-	pipe, err := ingest.New(icfg)
+	pipe, err := ingest.New(ingest.Config{
+		Workers:    cfg.Workers,
+		QueueDepth: cfg.QueueDepth,
+		Policy:     cfg.Policy,
+		Committer:  s.committer,
+		Obs:        reg,
+		Tracer:     obs.NewTracer(cfg.TraceWriter),
+	})
 	if err != nil {
 		if pers != nil {
 			pers.Close()
@@ -307,7 +314,7 @@ func (s *Server) Start(ctx context.Context) {
 }
 
 // Close shuts down gracefully, in durability order: drain the pipeline
-// (every enqueued submission commits), then flush the WAL and cut a
+// (every enqueued or admitted submission commits), then flush the WAL and cut a
 // final snapshot — so a clean shutdown never needs replay on the next
 // boot.
 func (s *Server) Close() error {

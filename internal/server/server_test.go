@@ -133,11 +133,13 @@ func TestServerEndToEndSyntheticPopulation(t *testing.T) {
 		t.Fatalf("POST garbage = %d (malformed uploads are dropped by the pipeline, not the handler)", code)
 	}
 
-	// The bins settle once the pipeline has stored every upload: both
-	// clusters discovered over the accepted population.
+	// The bins settle once the pipeline has stored every upload — the
+	// hot reject included, which the store workers may land after the
+	// accepted ones: both clusters discovered over the accepted
+	// population.
 	waitFor(t, 3*time.Second, "bins to settle", func() bool {
 		for _, mb := range getBins(t, ts) {
-			if mb.Model == model && mb.Accepted == accepted && mb.BinCount == 2 {
+			if mb.Model == model && mb.Submissions == accepted+1 && mb.Accepted == accepted && mb.BinCount == 2 {
 				return true
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -355,5 +356,92 @@ func TestChaosStreamIngest(t *testing.T) {
 				sc.Heal(p)
 			})
 		})
+	}
+}
+
+// lockedBuffer is a trace sink the test can read while the server
+// still writes to it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestStreamBatchTraceSpans pins tracing on the binary stream: every
+// batch emits one decode → filter → wal_append → store chain under its
+// own trace ID, and a batch of one carries the device, the model and,
+// from the commit on, the sequence number, like a JSON upload's chain.
+func TestStreamBatchTraceSpans(t *testing.T) {
+	var buf lockedBuffer
+	_, base := startStandalone(t, func(c *server.Config) {
+		c.DataDir = t.TempDir()
+		c.TraceWriter = &buf
+	})
+	st, err := wire.OpenStream(&http.Client{}, base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := [][]wire.Submission{
+		{wireAccepted(t, "tr-0", 1000), wireAccepted(t, "tr-1", 1040), wireAccepted(t, "tr-2", 1080)},
+		{wireAccepted(t, "tr-solo", 1120)},
+	}
+	for i, b := range batches {
+		ack, err := st.Do(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(ack.Committed) != len(b) || ack.Err != "" {
+			t.Fatalf("batch %d ack = %+v, want %d committed", i, ack, len(b))
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	chain := []string{"decode", "filter", "wal_append", "store"}
+	spans := parseSpans(t, buf.String())
+	if len(spans) != len(batches)*len(chain) {
+		t.Fatalf("%d batches emitted %d spans, want %d:\n%s", len(batches), len(spans), len(batches)*len(chain), buf.String())
+	}
+	group, solo := spans[:len(chain)], spans[len(chain):]
+	for _, batch := range [][]traceSpan{group, solo} {
+		for i, s := range batch {
+			if s.Span != chain[i] {
+				t.Errorf("span %d = %q, want %q", i, s.Span, chain[i])
+			}
+			if s.Trace == "" || s.Trace != batch[0].Trace {
+				t.Errorf("span %q trace ID %q breaks the chain (first span has %q)", s.Span, s.Trace, batch[0].Trace)
+			}
+			if s.Err != "" {
+				t.Errorf("span %q carries error %q on the happy path", s.Span, s.Err)
+			}
+		}
+	}
+	if group[0].Trace == solo[0].Trace {
+		t.Errorf("two batches share trace ID %q", group[0].Trace)
+	}
+	for _, s := range group {
+		if s.Device != "" || s.Seq != 0 {
+			t.Errorf("span %q of a 3-submission batch names device %q, seq %d", s.Span, s.Device, s.Seq)
+		}
+	}
+	for _, s := range solo {
+		if s.Device != "tr-solo" || s.Model != "Nexus 5" {
+			t.Errorf("span %q of a batch of one carries device %q, model %q", s.Span, s.Device, s.Model)
+		}
+		if (s.Span == "wal_append" || s.Span == "store") && s.Seq == 0 {
+			t.Errorf("span %q has no sequence number after the commit point", s.Span)
+		}
 	}
 }

@@ -64,7 +64,7 @@ func TestSketchTracksLatestAcceptedPerDevice(t *testing.T) {
 
 // TestSketchModelScopedLatest pins the population definition: the sketch
 // tracks the latest record per device *within each model*, exactly like
-// Latest(model) — a device moving to another model leaves its old
+// latestOf(model) — a device moving to another model leaves its old
 // model's population untouched.
 func TestSketchModelScopedLatest(t *testing.T) {
 	s := New(4)
@@ -79,8 +79,8 @@ func TestSketchModelScopedLatest(t *testing.T) {
 	if skA.Accepted() != 1 || skB.Accepted() != 1 {
 		t.Fatalf("accepted A=%d B=%d, want 1,1 (model-scoped latest)", skA.Accepted(), skB.Accepted())
 	}
-	if got := len(s.Latest("mA")); got != 1 {
-		t.Fatalf("Latest(mA) = %d records, want 1 — sketch and exact must agree", got)
+	if got := len(latestOf(s, "mA")); got != 1 {
+		t.Fatalf("latestOf(mA) = %d records, want 1 — sketch and exact must agree", got)
 	}
 }
 

@@ -172,16 +172,16 @@ type sketchShard struct {
 // the latest accepted record per device, plus the per-device latest map
 // that decides each record's delta. Keeping the latest map here — keyed
 // per (model, device), unlike the global device stripe — pins the
-// sketch's population definition to exactly what Latest(model) returns:
-// a device resubmitting under a different model leaves its old model's
-// population untouched, just as the exact scan would see it.
+// sketch's population definition to the latest record per device within
+// the model: a device resubmitting under a different model leaves its
+// old model's population untouched.
 type modelSketch struct {
 	sk *stats.BinSketch
 	// rev increments on every mutation — the binner's cache invalidation
 	// key.
 	rev uint64
-	// latest is the winning record per device within this model, by the
-	// same Record.after order Latest resolves with. Application is
+	// latest is the winning record per device within this model, by
+	// Record.after — the order every replica agrees on. Application is
 	// order-independent: whichever of two records lands first, the
 	// winner's observation is in the sketch and the loser's is not.
 	latest map[string]Record
@@ -558,42 +558,6 @@ func (s *Store) Model(model string) []Record {
 	}
 	out := make([]Record, len(recs))
 	copy(out, recs)
-	return out
-}
-
-// Latest returns the latest record per device for the model — the
-// population each model's sketch summarizes, and the one the exact
-// bins oracle in the server tests clusters. "Latest" is by HLC stamp for
-// cluster-ingested records, by arrival for single-node ones. When every
-// winner carries a stamp the result is returned in canonical stamp
-// order, which is identical on every converged replica (float
-// accumulations over it then run in the same order everywhere);
-// otherwise it keeps the first-seen device order single-node callers
-// have always observed.
-func (s *Store) Latest(model string) []Record {
-	recs := s.Model(model)
-	idx := make(map[string]int, len(recs))
-	var out []Record
-	for _, r := range recs {
-		if i, ok := idx[r.Device]; ok {
-			if r.after(out[i]) {
-				out[i] = r
-			}
-			continue
-		}
-		idx[r.Device] = len(out)
-		out = append(out, r)
-	}
-	stamped := len(out) > 0
-	for _, r := range out {
-		if _, ok := r.Key(); !ok {
-			stamped = false
-			break
-		}
-	}
-	if stamped {
-		sort.Slice(out, func(i, j int) bool { return out[j].after(out[i]) })
-	}
 	return out
 }
 

@@ -132,7 +132,7 @@ func TestDigestOrderIndependent(t *testing.T) {
 }
 
 // TestLatestConvergesAcrossInsertionOrders pins the cross-replica
-// convergence contract: with stamped records, Latest returns the same
+// convergence contract: with stamped records, latestOf returns the same
 // winners in the same canonical order no matter which order the records
 // arrived in — the property that keeps bins bit-identical cluster-wide.
 func TestLatestConvergesAcrossInsertionOrders(t *testing.T) {
@@ -169,10 +169,10 @@ func TestLatestConvergesAcrossInsertionOrders(t *testing.T) {
 		}
 		return out
 	}
-	la := stripSeq(build(fwd).Latest("Nexus 5"))
-	lb := stripSeq(build(rev).Latest("Nexus 5"))
+	la := stripSeq(latestOf(build(fwd), "Nexus 5"))
+	lb := stripSeq(latestOf(build(rev), "Nexus 5"))
 	if !reflect.DeepEqual(la, lb) {
-		t.Fatalf("Latest diverges across insertion orders:\n%+v\nvs\n%+v", la, lb)
+		t.Fatalf("latestOf diverges across insertion orders:\n%+v\nvs\n%+v", la, lb)
 	}
 	for _, r := range la {
 		if r.Origin != "n2" {
@@ -187,7 +187,7 @@ func TestLatestConvergesAcrossInsertionOrders(t *testing.T) {
 }
 
 // TestLatestKeepsLegacyOrderUnstamped pins the single-node behavior:
-// without stamps, Latest keeps first-seen device order and the highest
+// without stamps, latestOf keeps first-seen device order and the highest
 // sequence number wins.
 func TestLatestKeepsLegacyOrderUnstamped(t *testing.T) {
 	s := New(4)
@@ -199,7 +199,7 @@ func TestLatestKeepsLegacyOrderUnstamped(t *testing.T) {
 	if _, err := s.Put(Record{Device: "z2", Model: "m", Score: 2}); err != nil {
 		t.Fatal(err)
 	}
-	got := s.Latest("m")
+	got := latestOf(s, "m")
 	if len(got) != 3 || got[0].Device != "z2" || got[1].Device != "z1" || got[2].Device != "z0" {
 		t.Fatalf("legacy order broken: %+v", got)
 	}

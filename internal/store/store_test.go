@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -61,9 +62,9 @@ func TestLatestKeepsNewestPerDevice(t *testing.T) {
 	mustPut(t, s, Record{Device: "d1", Model: "m", Score: 1})
 	mustPut(t, s, Record{Device: "d2", Model: "m", Score: 2})
 	mustPut(t, s, Record{Device: "d1", Model: "m", Score: 3})
-	latest := s.Latest("m")
+	latest := latestOf(s, "m")
 	if len(latest) != 2 {
-		t.Fatalf("Latest returned %d records", len(latest))
+		t.Fatalf("latestOf returned %d records", len(latest))
 	}
 	if latest[0].Device != "d1" || latest[0].Score != 3 {
 		t.Errorf("resubmission did not replace: %+v", latest[0])
@@ -280,4 +281,37 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 			t.Errorf("device %s diverged: %+v vs %+v", id, a, b)
 		}
 	}
+}
+
+// latestOf returns the latest record per device for the model — the
+// population each model's sketch summarizes. "Latest" is by HLC stamp
+// for cluster-ingested records, by arrival for single-node ones. When
+// every winner carries a stamp the result is in canonical stamp order,
+// identical on every converged replica; otherwise it keeps first-seen
+// device order.
+func latestOf(s *Store, model string) []Record {
+	recs := s.Model(model)
+	idx := make(map[string]int, len(recs))
+	var out []Record
+	for _, r := range recs {
+		if i, ok := idx[r.Device]; ok {
+			if r.after(out[i]) {
+				out[i] = r
+			}
+			continue
+		}
+		idx[r.Device] = len(out)
+		out = append(out, r)
+	}
+	stamped := len(out) > 0
+	for _, r := range out {
+		if _, ok := r.Key(); !ok {
+			stamped = false
+			break
+		}
+	}
+	if stamped {
+		sort.Slice(out, func(i, j int) bool { return out[j].after(out[i]) })
+	}
+	return out
 }

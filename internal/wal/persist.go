@@ -74,8 +74,8 @@ type PersistCounters struct {
 	LastSnapshotSeq uint64
 }
 
-// Persister ties the segmented log to the sharded store: Commit is the
-// crowd stack's durability point (append + fsync, then store), a
+// Persister ties the segmented log to the sharded store: CommitBatch is
+// the crowd stack's durability point (append + fsync, then store), a
 // background snapshotter checkpoints the store and compacts covered
 // segments, and Open performs crash recovery. It implements
 // ingest.Committer.
@@ -186,47 +186,24 @@ func Open(cfg PersistConfig, st *store.Store) (*Persister, Recovery, error) {
 	return p, rec, nil
 }
 
-// Commit is the durability point: the record is marshaled, appended to
-// the log (blocking until fsynced — group-committed with concurrent
-// callers), assigned its sequence number by the append, and only then
-// inserted into the store. A record is never visible without being
-// durable. The record's Seq field is set on return.
+// Commit commits one record: a CommitBatch of one. It returns the
+// record's assigned sequence number, also set in its Seq field.
 func (p *Persister) Commit(r *store.Record) (uint64, error) {
-	payload, err := json.Marshal(r)
-	if err != nil {
+	if err := p.CommitBatch([]*store.Record{r}); err != nil {
 		return 0, err
 	}
-	p.commitMu.RLock()
-	seq, err := p.log.Append(payload)
-	if err != nil {
-		p.commitMu.RUnlock()
-		return 0, err
-	}
-	r.Seq = seq
-	perr := p.st.PutSeq(*r)
-	p.commitMu.RUnlock()
-	if perr != nil {
-		// Logged but unstorable — a validation bug upstream; surface it
-		// rather than diverging store and log silently.
-		return 0, perr
-	}
-	if p.sinceSnap.Add(1) >= uint64(p.cfg.SnapshotEvery) {
-		select {
-		case p.kick <- struct{}{}:
-		default:
-		}
-	}
-	return seq, nil
+	return r.Seq, nil
 }
 
-// CommitBatch commits a whole ingest batch through one group-commit:
-// every record is marshaled up front, the batch is appended to the log
-// as consecutive frames in a single durable write, the records'
-// sequence numbers are assigned from the append, and the store insert
-// takes one lock pass per shard (PutSeqBatch). All-or-nothing on the
-// log side: if the append fails, no record of the batch was stored.
+// CommitBatch is the durability point: every record is marshaled up
+// front, the batch is appended to the log as consecutive frames in a
+// single durable write (blocking until fsynced — group-committed with
+// concurrent callers), the records' sequence numbers are assigned from
+// the append, and only then does the store insert take one lock pass
+// per shard (PutSeqBatch). A record is never visible without being
+// durable, and if the append fails no record of the batch was stored.
 // Each record's Seq field is set on return. It implements
-// ingest.BatchCommitter.
+// ingest.Committer.
 func (p *Persister) CommitBatch(recs []*store.Record) error {
 	if len(recs) == 0 {
 		return nil

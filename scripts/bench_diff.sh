@@ -10,12 +10,10 @@
 # skips the re-run and compares the two files as-is — the chaos path:
 #   bench_diff.sh BENCH_7.json /tmp/bench7-new.json
 # Per-entry keys are compared direction-aware: ns_per_op and ack_p99_ms
-# regress upward; submissions_per_sec, ratio_vs_json (the wire:JSON
-# throughput ratio in BENCH_8.json must not shrink) and
-# devices_steps_per_sec (the fleet engine in BENCH_9.json must not slow
-# down) regress downward. A new entry missing from the baseline is
-# reported but not fatal; a baseline entry missing from the current run
-# is fatal.
+# regress upward; submissions_per_sec and devices_steps_per_sec (the
+# fleet engine in BENCH_9.json must not slow down) regress downward. A
+# new entry missing from the baseline is reported but not fatal; a
+# baseline entry missing from the current run is fatal.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -51,7 +49,7 @@ function grab(line, key,    v) {
 }
 # store every comparable key found on this entry line, keyed "name/key"
 function store(tab, name, line,    k, i, v) {
-    split("ns_per_op ack_p99_ms submissions_per_sec ratio_vs_json devices_steps_per_sec", keys, " ")
+    split("ns_per_op ack_p99_ms submissions_per_sec devices_steps_per_sec", keys, " ")
     for (i in keys) {
         v = grab(line, keys[i])
         if (v != "") tab[name "/" keys[i]] = v
@@ -77,10 +75,10 @@ END {
             continue
         }
         if (!(nk in cur)) continue
-        # submissions_per_sec, ratio_vs_json and devices_steps_per_sec
-        # regress when they drop; everything else (ns_per_op, ack_p99_ms)
-        # regresses when it climbs.
-        if (key == "submissions_per_sec" || key == "ratio_vs_json" || key == "devices_steps_per_sec") \
+        # submissions_per_sec and devices_steps_per_sec regress when they
+        # drop; everything else (ns_per_op, ack_p99_ms) regresses when it
+        # climbs.
+        if (key == "submissions_per_sec" || key == "devices_steps_per_sec") \
              pct = (base[nk] / cur[nk] - 1) * 100
         else pct = (cur[nk] / base[nk] - 1) * 100
         if (pct > tol) {
